@@ -40,19 +40,20 @@ def _bitflip_critical(app, n):
     rng = make_rng(5)
     model = SingleBitFlip()
     critical = 0
-    from repro.swfi.ops import SassOps
+    from repro.swfi.ops import SassOps, no_fp_traps
 
     total = injector.injectable_total
     for _ in range(n):
         target = int(rng.integers(total))
         ops = SassOps(target=target, corruptor=model(rng))
-        try:
-            observed = app.run(ops)
-        except Exception:
-            continue
-        if app.is_sdc(golden, observed) and app.is_critical(golden,
-                                                            observed):
-            critical += 1
+        with no_fp_traps():
+            try:
+                observed = app.run(ops)
+            except Exception:
+                continue
+            if app.is_sdc(golden, observed) and app.is_critical(
+                    golden, observed):
+                critical += 1
     return critical
 
 

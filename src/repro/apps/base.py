@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..swfi.ops import SassOps
+from ..swfi.ops import SassOps, no_fp_traps
 
 __all__ = ["GPUApplication"]
 
@@ -36,7 +36,8 @@ class GPUApplication(ABC):
 
     def golden(self) -> np.ndarray:
         """Convenience fault-free execution."""
-        return self.run(SassOps(precision=self.precision))
+        with no_fp_traps():
+            return self.run(SassOps(precision=self.precision))
 
     def is_sdc(self, golden: np.ndarray, observed: np.ndarray) -> bool:
         """True when the outputs mismatch (the paper's SDC criterion).

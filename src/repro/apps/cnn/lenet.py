@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from ...rng import make_rng
-from ...swfi.ops import SassOps
+from ...swfi.ops import SassOps, no_fp_traps
 from .datasets import make_digit_dataset
 from .tensor_ops import TileHook, conv2d, linear, maxpool2, relu, softmax
 from .train import train_softmax_head
@@ -51,8 +51,8 @@ class LeNetMini:
 
     # -- reference (uninstrumented) feature extractor ------------------------
     def _features(self, image: np.ndarray) -> np.ndarray:
-        ops = SassOps()
-        return self._feature_pass(ops, image).astype(np.float64)
+        with no_fp_traps():
+            return self._feature_pass(SassOps(), image).astype(np.float64)
 
     def _feature_pass(self, ops: SassOps, image: np.ndarray,
                       tile_hook: Optional[TileHook] = None) -> np.ndarray:

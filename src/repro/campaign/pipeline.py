@@ -192,7 +192,7 @@ def run_pipeline(workdir: Union[str, Path],
             input_ranges=input_ranges, grid_faults=grid_faults,
             tmxm_faults=tmxm_faults, n_jobs=n_jobs,
             batch_size=batch_size, timeout=timeout, fresh=fresh,
-            quiet=quiet, precision=precision)
+            quiet=quiet, precision=precision, cancel=cancel)
         stage_metrics.extend(m.to_dict() for m in rtl_metrics)
         database = builder.build()
         database.save(db_path)

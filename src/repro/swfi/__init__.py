@@ -16,7 +16,7 @@ from .models import (
     RelativeErrorSyndrome,
     SingleBitFlip,
 )
-from .ops import SassOps
+from .ops import SassOps, no_fp_traps
 from .profiler import GROUPS, InstructionProfile, profile_application
 from .tmxm_injector import TmxmInjector, TmxmReport
 
@@ -36,6 +36,7 @@ __all__ = [
     "RelativeErrorSyndrome",
     "SingleBitFlip",
     "SassOps",
+    "no_fp_traps",
     "GROUPS",
     "InstructionProfile",
     "profile_application",

@@ -23,7 +23,7 @@ from ..errors import ReproError
 from ..gpu.isa import Opcode
 from ..rtl.classify import Outcome
 from .models import FaultModel
-from .ops import SassOps
+from .ops import SassOps, no_fp_traps
 
 __all__ = ["AppHangError", "InjectionResult", "SoftwareInjector"]
 
@@ -73,7 +73,8 @@ class SoftwareInjector:
         """Fault-free output, cached; captures the profile as it runs."""
         if self._golden is None:
             ops = SassOps(precision=self.precision)
-            self._golden = self.app.run(ops)
+            with no_fp_traps():
+                self._golden = self.app.run(ops)
             self._profile_counts = ops.profile()
             self._injectable_total = ops.injectable_total
         return self._golden
@@ -115,17 +116,19 @@ class SoftwareInjector:
         ops = SassOps(target=target,
                       corruptor=model(rng, precision=self.precision),
                       span=span, precision=self.precision)
-        try:
-            with _wall_clock_limit(timeout):
-                observed = self.app.run(ops)
-        except (AppHangError, FloatingPointError, ZeroDivisionError,
-                IndexError, ValueError, OverflowError) as exc:
-            return InjectionResult(
-                Outcome.DUE, ops.injected, target,
-                detail=f"{type(exc).__name__}: {exc}",
-                corrupted_opcodes=tuple(ops.corrupted_opcodes))
+        with no_fp_traps():
+            try:
+                with _wall_clock_limit(timeout):
+                    observed = self.app.run(ops)
+            except (AppHangError, FloatingPointError, ZeroDivisionError,
+                    IndexError, ValueError, OverflowError) as exc:
+                return InjectionResult(
+                    Outcome.DUE, ops.injected, target,
+                    detail=f"{type(exc).__name__}: {exc}",
+                    corrupted_opcodes=tuple(ops.corrupted_opcodes))
+            is_sdc = self.app.is_sdc(golden, observed)
         corrupted = tuple(ops.corrupted_opcodes)
-        if self.app.is_sdc(golden, observed):
+        if is_sdc:
             return InjectionResult(Outcome.SDC, ops.injected, target,
                                    corrupted_opcodes=corrupted)
         return InjectionResult(Outcome.MASKED, ops.injected, target,

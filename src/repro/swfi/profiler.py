@@ -20,7 +20,7 @@ from ..gpu.isa import (
     Opcode,
     SFU_OPCODES,
 )
-from .ops import SassOps
+from .ops import SassOps, no_fp_traps
 
 __all__ = ["InstructionProfile", "profile_application", "GROUPS"]
 
@@ -81,7 +81,8 @@ class InstructionProfile:
 def profile_application(app) -> InstructionProfile:
     """Run *app* once in profile mode and return its instruction mix."""
     ops = SassOps(precision=getattr(app, "precision", "fp32"))
-    app.run(ops)
+    with no_fp_traps():
+        app.run(ops)
     return InstructionProfile(
         app_name=app.name,
         counts=ops.profile(),

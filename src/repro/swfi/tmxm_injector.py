@@ -21,7 +21,7 @@ from ..syndrome.database import SyndromeDatabase
 from ..syndrome.records import TmxmEntry
 from ..syndrome.spatial import SpatialPattern, generate_pattern
 from .models import _cast_float
-from .ops import SassOps
+from .ops import SassOps, no_fp_traps
 
 __all__ = ["TmxmInjectionResult", "TmxmReport", "TmxmInjector"]
 
@@ -97,7 +97,9 @@ class TmxmInjector:
 
     def run_golden(self) -> np.ndarray:
         if self._golden is None:
-            self._golden = self.app.run(SassOps(precision=self.precision))
+            with no_fp_traps():
+                self._golden = self.app.run(
+                    SassOps(precision=self.precision))
         return self._golden
 
     def inject_one(self, rng: np.random.Generator) -> TmxmInjectionResult:
@@ -132,10 +134,11 @@ class TmxmInjector:
                     value + sign * rel * abs(base), self.precision)
             return corrupted
 
-        observed = self.app.run(SassOps(precision=self.precision),
-                                tile_hook=tile_hook)
-        is_sdc = self.app.is_sdc(golden, observed)
-        is_critical = is_sdc and self.app.is_critical(golden, observed)
+        with no_fp_traps():
+            observed = self.app.run(SassOps(precision=self.precision),
+                                    tile_hook=tile_hook)
+            is_sdc = self.app.is_sdc(golden, observed)
+            is_critical = is_sdc and self.app.is_critical(golden, observed)
         return TmxmInjectionResult(is_sdc, is_critical, pattern, layer)
 
     def run_campaign(self, n_injections: int, seed: int = 0) -> TmxmReport:

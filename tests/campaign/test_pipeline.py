@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.campaign.pipeline import run_pipeline
-from repro.errors import CampaignError
+from repro.errors import CampaignCancelled, CampaignError
 from repro.gpu import Opcode
 
 #: Small but family-complete config: FADD covers the float datapath,
@@ -112,6 +112,25 @@ class TestStageResume:
             summary["database"]["entries"]
         assert fresh["database"]["tmxm_entries"] == \
             summary["database"]["tmxm_entries"]
+
+
+class TestCancellation:
+    def test_cancel_stops_the_rtl_grid(self, tmp_path):
+        polls = []
+
+        def cancel():  # true from the second poll: after the first unit
+            polls.append(None)
+            return len(polls) > 1
+
+        with pytest.raises(CampaignCancelled):
+            run_pipeline(tmp_path, seed=3, opcodes=[Opcode.FADD],
+                         input_ranges=("M",), grid_faults=10,
+                         tmxm_faults=10, apps=["MxM"], injections=10,
+                         quiet=True, cancel=cancel)
+        journal = (tmp_path / "rtl_grid.jsonl").read_text().splitlines()
+        assert len(journal) == 2  # header + the one unit that ran
+        assert not (tmp_path / "tmxm.jsonl").exists()
+        assert not (tmp_path / "syndrome_db.json").exists()
 
 
 class TestValidation:

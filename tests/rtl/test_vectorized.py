@@ -138,6 +138,20 @@ class TestCampaignEquivalence:
         vectorized = run_campaign(bench, vectorize="auto", **kwargs)
         assert vectorized.to_dict() == scalar.to_dict()
 
+    def test_non_transient_cells_record_no_golden_trace(self,
+                                                        monkeypatch):
+        # burst and stuck-at faults always run scalar, so their cells
+        # must not pay for a trace-recording run nothing reads
+        def no_prepare(self, bench):
+            raise AssertionError("non-transient cell recorded a trace")
+
+        monkeypatch.setattr(VectorizedRTLInjector, "prepare", no_prepare)
+        bench = make_microbenchmark(Opcode.FADD, "M", seed=5)
+        for fault_model in ("burst", "stuck-at"):
+            report = run_campaign(bench, module="fp32", n_faults=4, seed=6,
+                                  vectorize="auto", fault_model=fault_model)
+            assert report.n_injections == 4
+
     def test_stuck_at_batch_routes_scalar(self):
         # the permanently-armed model never goes passive, so the batch
         # engine must fall back fault-by-fault — exact equality again
