@@ -18,6 +18,7 @@ from .controller import (
 )
 from .runner import (
     AdaptiveResult,
+    execute_adaptive,
     run_adaptive_campaign,
     run_adaptive_grid,
     run_adaptive_pvf_campaign,
@@ -28,6 +29,7 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveController",
     "AdaptiveResult",
+    "execute_adaptive",
     "initial_horizon",
     "next_horizon",
     "required_trials",

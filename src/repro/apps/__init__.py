@@ -1,6 +1,6 @@
 """Benchmark applications evaluated under software fault injection."""
 
-from .base import GPUApplication
+from .base import GPUApplication, application_name
 from .bfs import BreadthFirstSearch
 from .gaussian import GaussianElimination
 from .hotspot import Hotspot
@@ -16,6 +16,7 @@ from .yolo_app import YoloApp
 
 __all__ = [
     "GPUApplication",
+    "application_name",
     "BreadthFirstSearch",
     "NeedlemanWunsch",
     "Pathfinder",

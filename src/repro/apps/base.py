@@ -16,7 +16,16 @@ import numpy as np
 
 from ..swfi.ops import SassOps, no_fp_traps
 
-__all__ = ["GPUApplication"]
+__all__ = ["GPUApplication", "application_name"]
+
+
+def application_name(name: str, precision: str = "fp32") -> str:
+    """The ``name`` of application *name* built at *precision*.
+
+    Known without building the application: reduced-precision variants
+    carry their float format as a suffix (``Transformer-fp16``).
+    """
+    return name if precision == "fp32" else f"{name}-{precision}"
 
 
 class GPUApplication(ABC):

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..rng import make_rng
 from ..swfi.ops import SassOps
-from .base import GPUApplication
+from .base import GPUApplication, application_name
 from .cnn.metrics import is_misclassification
 from .cnn.tensor_ops import TileHook, linear, relu, softmax, tiled_matmul
 
@@ -55,8 +55,7 @@ class TransformerBlockApp(GPUApplication):
         self.batch = batch
         self.seq_len = seq_len
         self.d_model = d_model
-        self.name = ("Transformer" if precision == "fp32"
-                     else f"Transformer-{precision}")
+        self.name = application_name("Transformer", precision)
         rng = make_rng(seed + 2021)
         scale = 1.0 / np.sqrt(d_model)
 

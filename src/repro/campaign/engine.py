@@ -27,6 +27,11 @@ The engine owns:
   :class:`Mergeable` (``merge_in``/``merge``/``to_dict``/``from_dict``);
   :func:`merge_ordered` folds per-unit reports in index order, which is
   what makes the merged report equal to the serial run's bit for bit.
+* **Plan → execute** — every campaign shape describes itself as one
+  :class:`CampaignPlan` (cells of seed-indexed units, the unit runner,
+  the journal identity); :func:`execute` is the single driver that
+  journals, times, runs (once, or once per adaptive round) and merges
+  any plan.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -46,6 +53,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 try:  # pragma: no cover - always present on python >= 3.8
@@ -60,13 +68,16 @@ from ..errors import CampaignCancelled, CampaignError, ReproError
 from ..rng import spawn_seed_range
 from .checkpoint import CampaignCheckpoint
 from .progress import ProgressReporter
-from .telemetry import CampaignMetrics
+from .telemetry import CampaignMetrics, emit_metrics, resolve_metrics
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
+    "CampaignPlan",
     "Mergeable",
+    "PlanCell",
     "UnitTimeout",
     "WorkUnit",
+    "execute",
     "merge_ordered",
     "plan_batches",
     "plan_units",
@@ -452,3 +463,146 @@ def run_units(
             metrics.finish()
         if checkpoint is not None:
             checkpoint.close()  # flush + fsync: the journal is durable
+
+
+# -- plan → execute ----------------------------------------------------------
+@dataclass(frozen=True)
+class PlanCell:
+    """One merge group of a plan: its units and its empty report.
+
+    A cell's units merge into one report; ``empty`` builds the report a
+    cell merges to when none of its units ran (a zero-fault cell, or
+    one an adaptive budget never reached).
+    """
+
+    label: str
+    units: Tuple[WorkUnit, ...]
+    empty: Callable[[], Any]
+
+
+@dataclass(frozen=True)
+class CampaignPlan:
+    """One campaign, described completely before anything runs.
+
+    ``cells`` hold the seed-indexed units (indices are global, unique
+    and in plan order across cells); ``run_unit``/``state_factory`` are
+    the picklable engine callables; ``header`` and ``kind`` are the
+    journal's identity and its reports' artifact kind; ``stage`` names
+    the campaign in its telemetry.  Planning builds no simulator or
+    injector — that is ``state_factory``'s job, inside whichever process
+    executes the units.
+    """
+
+    cells: Tuple[PlanCell, ...]
+    run_unit: Callable[[Any, WorkUnit], Any]
+    state_factory: Optional[Callable[[], Any]]
+    header: Dict[str, Any]
+    kind: str
+    stage: str
+
+    @property
+    def units(self) -> List[WorkUnit]:
+        return [unit for cell in self.cells for unit in cell.units]
+
+    def shard(self, lo: int, hi: int) -> "CampaignPlan":
+        """This plan restricted to units ``[lo, hi)``.
+
+        The distributed-worker view: a worker handed ``(lo, hi)``
+        re-plans the campaign and runs exactly the units (index, size,
+        child seed) the single-process run executes at those indices.
+        """
+        units = self.units
+        if not 0 <= lo < hi <= len(units):
+            raise CampaignError(
+                f"unit range [{lo}, {hi}) is outside the campaign's "
+                f"{len(units)}-unit plan")
+        keep = {unit.index for unit in units[lo:hi]}
+        return replace(self, cells=tuple(
+            replace(cell, units=tuple(u for u in cell.units
+                                      if u.index in keep))
+            for cell in self.cells))
+
+
+def execute(
+    plan: CampaignPlan,
+    *,
+    n_jobs: int = 1,
+    state: Any = None,
+    checkpoint: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+    progress: Optional[ProgressReporter] = None,
+    metrics: Optional[CampaignMetrics] = None,
+    cancel: Optional[Callable[[], bool]] = None,
+    consume: Optional[Callable[[int, Any], None]] = None,
+    collect: bool = True,
+    controller: Any = None,
+) -> List[Any]:
+    """Run *plan*; return one merged report per cell, in cell order.
+
+    The single driver behind every campaign runner.  It opens the
+    journal at *checkpoint* with the plan's header (replaying it when
+    *resume*), turns telemetry on for journaled runs and writes it next
+    to the journal, runs the units through :func:`run_units`, and
+    merges each cell in unit-index order.  *state* is a caller-built
+    worker state for a serial run (a shared injector); otherwise a
+    serial run builds ``plan.state_factory()`` once, on first need.
+
+    With an adaptive *controller* (see
+    :class:`repro.adaptive.AdaptiveController`) every cell is registered
+    with its full unit plan and the units run round by round, observed
+    by the controller, until it plans an empty round.  The executed set
+    is a prefix of each cell's plan, so every cell merges exactly like
+    a fixed run truncated at the same horizon.  ``collect=False``
+    returns ``[]`` (reports go to *consume* only).
+    """
+    if n_jobs < 1:
+        raise CampaignError("n_jobs must be at least 1")
+    if n_jobs > 1 and state is not None:
+        raise CampaignError(
+            "a shared injector cannot be used with parallel workers")
+    if checkpoint is None and resume:
+        raise CampaignError("resume=True requires a checkpoint path")
+    state_factory = plan.state_factory
+    if n_jobs == 1 and state is None and state_factory is not None:
+        # one serial state for every adaptive round, not one per round
+        state_factory = lru_cache(maxsize=None)(state_factory)
+    stage = plan.stage if controller is None else f"adaptive-{plan.stage}"
+    metrics = resolve_metrics(metrics, checkpoint, stage)
+    if progress is not None and progress.total is None and controller is None:
+        progress.total = len(plan.units)
+    journal = None
+    if checkpoint is not None:
+        journal = CampaignCheckpoint(checkpoint, plan.header,
+                                     kind=plan.kind, resume=resume)
+
+    def run(units: Sequence[WorkUnit], observer=None) -> Dict[int, Any]:
+        return run_units(
+            units, plan.run_unit, n_jobs=n_jobs,
+            state_factory=state_factory, state=state, checkpoint=journal,
+            consume=consume, observer=observer, progress=progress,
+            metrics=metrics, collect=collect, cancel=cancel)
+
+    try:
+        if controller is None:
+            results = run(plan.units)
+        else:
+            for cell in plan.cells:
+                controller.add_cell(cell.label, cell.units)
+            results = {}
+            while True:
+                round_units = controller.next_round()
+                if not round_units:
+                    break
+                results.update(run(round_units, controller.observe))
+                if metrics is not None:
+                    metrics.total_units = None  # adaptive: unknowable
+    finally:
+        if journal is not None:
+            journal.close()
+    emit_metrics(metrics, checkpoint)
+    if not collect:
+        return []
+    return [merge_ordered({unit.index: results[unit.index]
+                           for unit in cell.units
+                           if unit.index in results}, empty=cell.empty)
+            for cell in plan.cells]

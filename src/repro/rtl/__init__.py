@@ -26,7 +26,6 @@ from .microbench import (
     make_microbenchmark,
 )
 from .signatures import SignatureRecord, SignatureReport
-from .store import CampaignStore
 from .reports import (
     CampaignReport,
     DetailedRecord,
@@ -73,7 +72,6 @@ __all__ = [
     "all_microbenchmarks",
     "make_microbenchmark",
     "CampaignReport",
-    "CampaignStore",
     "DetailedRecord",
     "FaultDescriptor",
     "GeneralRecord",

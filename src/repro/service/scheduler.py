@@ -17,11 +17,12 @@ Three properties connect the service to the campaign engine:
   work units via the ``cancel=`` hook; a stop lands the job in
   ``cancelled`` (or ``failed`` for a blown budget) with all completed
   units journaled.
-* **Bit-identical results** — execution goes through the exact same
-  runners the synchronous CLI uses, with the same seed-indexed batch
-  plan, so a job's merged report equals the direct
-  ``python -m repro`` run's for the same parameters, no matter how
-  often the daemon died in between.
+* **Bit-identical results** — a job is planned by the exact same
+  planners the synchronous CLI's runners use and executed by the same
+  driver (:func:`repro.campaign.engine.execute`), so a job's merged
+  report equals the direct ``python -m repro`` run's for the same
+  parameters, no matter how often the daemon died in between or which
+  workers ran its units.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ import sys
 import threading
 import time
 import traceback
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..campaign.checkpoint import CampaignCheckpoint
+from ..campaign.engine import CampaignPlan
 from ..campaign.progress import make_progress
 from ..campaign.telemetry import CampaignMetrics
 from ..errors import BudgetExceeded, CampaignCancelled, ServiceError
@@ -58,8 +61,9 @@ _CANCEL_POLL_SECONDS = 0.25
 #: SQLite "database is locked" under heavy worker contention).
 _MAX_BACKOFF_SECONDS = 10.0
 
-#: Service model keys -> the fault-model names reports carry.
-_MODEL_NAMES = {"bitflip": "single-bit-flip", "syndrome": "relative-error"}
+#: The journal each plan kind writes inside its job directory.
+_JOURNALS = {"pvf-report": "pvf.jsonl", "rtl-report": "rtl.jsonl",
+             "signature-report": "signature.jsonl"}
 
 
 # -- parameter validation -----------------------------------------------------
@@ -394,25 +398,19 @@ def _signature_result(params: dict, report) -> dict:
     }
 
 
-def _pvf_workload(params: dict):
+def _pvf_workload(app: str, seed: int, precision: str, model: str):
+    """A PVF job's application and fault model.
+
+    The plan's workload factory: it runs only in the process that
+    executes units, never when the daemon plans claims or deliveries.
+    """
     from ..apps import make_application
     from ..datafiles import load_database
     from ..swfi.models import RelativeErrorSyndrome, SingleBitFlip
 
-    app = make_application(params["app"], seed=params["seed"],
-                           precision=params.get("precision", "fp32"))
-    model = (SingleBitFlip() if params["model"] == "bitflip"
-             else RelativeErrorSyndrome(load_database()))
-    return app, model
-
-
-def _rtl_bench(params: dict):
-    from ..gpu.isa import Opcode
-    from ..rtl.microbench import make_microbenchmark
-
-    return make_microbenchmark(Opcode(params["opcode"]), params["range"],
-                               seed=params["seed"],
-                               precision=params.get("precision", "fp32"))
+    return (make_application(app, seed=seed, precision=precision),
+            SingleBitFlip() if model == "bitflip"
+            else RelativeErrorSyndrome(load_database()))
 
 
 def _adaptive_config(params: dict):
@@ -427,96 +425,88 @@ def _adaptive_config(params: dict):
     return AdaptiveConfig(**kwargs)
 
 
-def _run_pvf_job(params: dict, jobdir: Path, cancel, progress,
-                 metrics) -> dict:
-    from ..swfi.campaign import run_pvf_campaign
+def _job_plan(kind: str, params: dict) -> CampaignPlan:
+    """The campaign plan of one pvf or rtl job.
 
-    app, model = _pvf_workload(params)
-    journal = jobdir / "pvf.jsonl"
-    if params.get("target_ci") is not None:
-        from ..adaptive import run_adaptive_pvf_campaign
-
-        outcome = run_adaptive_pvf_campaign(
-            app, model, params["injections"], _adaptive_config(params),
-            seed=params["seed"], n_jobs=params["jobs"],
-            batch_size=params["batch_size"], timeout=params["timeout"],
-            checkpoint=journal, resume=journal.exists(),
-            progress=progress, metrics=metrics, cancel=cancel)
-        result = _pvf_result(params, outcome.report)
-        result["adaptive"] = {"rounds": outcome.rounds,
-                              "converged": outcome.converged,
-                              "cells": outcome.summary}
-        return result
-    report = run_pvf_campaign(
-        app, model, params["injections"], seed=params["seed"],
-        n_jobs=params["jobs"], batch_size=params["batch_size"],
-        timeout=params["timeout"], checkpoint=journal,
-        resume=journal.exists(), progress=progress, metrics=metrics,
-        cancel=cancel)
-    return _pvf_result(params, report)
-
-
-def _run_rtl_job(params: dict, jobdir: Path, cancel, progress,
-                 metrics) -> dict:
-    from ..rtl.campaign import run_campaign
-
-    if params.get("fault_model", "transient") == "stuck-at":
-        return _run_signature_job(params, jobdir, cancel, progress,
-                                  metrics)
-    bench = _rtl_bench(params)
-    journal = jobdir / "rtl.jsonl"
-    if params.get("target_ci") is not None:
-        from ..adaptive import run_adaptive_campaign
-
-        outcome = run_adaptive_campaign(
-            bench, params["module"], params["faults"],
-            _adaptive_config(params), seed=params["seed"],
-            n_jobs=params["jobs"], batch_size=params["batch_size"],
-            timeout=params["timeout"], checkpoint=journal,
-            resume=journal.exists(), progress=progress,
-            metrics=metrics, cancel=cancel)
-        result = _rtl_result(params, outcome.report)
-        result["adaptive"] = {"rounds": outcome.rounds,
-                              "converged": outcome.converged,
-                              "cells": outcome.summary}
-        return result
-    report = run_campaign(
-        bench, params["module"], params["faults"], seed=params["seed"],
-        n_jobs=params["jobs"], batch_size=params["batch_size"],
-        timeout=params["timeout"], checkpoint=journal,
-        resume=journal.exists(), progress=progress, metrics=metrics,
-        cancel=cancel,
-        fault_model=params.get("fault_model", "transient"),
-        burst_width=params.get("burst_width", 4),
-        burst_window=params.get("burst_window", 4))
-    return _rtl_result(params, report)
-
-
-def _run_signature_job(params: dict, jobdir: Path, cancel, progress,
-                       metrics) -> dict:
-    """Stuck-at RTL jobs run the per-application signature campaign.
-
-    Beyond ``report.json``, the enveloped report lands in
-    ``signature.json`` — the ``signature`` artifact the API serves.
+    The one description every execution path shares: the in-process
+    scheduler executes it, remote workers run shards of its units and
+    the daemon journals their deliveries under its header — so a job
+    moves freely between the paths across requeues and always resumes
+    from the units already done.  Planning builds no workload: the
+    daemon plans on every claim and delivery.
     """
-    from ..artifacts import dump_artifact
-    from ..rtl.campaign import run_signature_campaign
+    from ..rtl.campaign import plan_cell, plan_signature
 
-    journal = jobdir / "signature.jsonl"
-    report = run_signature_campaign(
-        params["module"], params["faults"], seed=params["seed"],
-        apps=params.get("apps"), n_jobs=params["jobs"],
-        timeout=params["timeout"], checkpoint=journal,
-        resume=journal.exists(), progress=progress, metrics=metrics,
-        cancel=cancel)
-    enveloped = dump_artifact("signature-report", report)
-    (jobdir / "signature.json").write_text(
-        json.dumps(enveloped, indent=2) + "\n")
-    return _signature_result(params, report)
+    if kind == "pvf":
+        from ..apps.base import application_name
+        from ..swfi.campaign import plan_pvf_by_name
+        from ..swfi.models import RelativeErrorSyndrome, SingleBitFlip
+
+        precision = params.get("precision", "fp32")
+        model = (SingleBitFlip if params["model"] == "bitflip"
+                 else RelativeErrorSyndrome)
+        return plan_pvf_by_name(
+            application_name(params["app"], precision), model.name,
+            partial(_pvf_workload, params["app"], params["seed"],
+                    precision, params["model"]),
+            params["injections"], params["seed"], params["batch_size"],
+            params["timeout"])
+    if params.get("fault_model") == "stuck-at":
+        return plan_signature(params["module"], params["faults"],
+                              params["seed"], params.get("apps"),
+                              timeout=params["timeout"])
+    from ..gpu.isa import Opcode
+    from ..rtl.microbench import make_microbenchmark
+
+    bench = make_microbenchmark(Opcode(params["opcode"]), params["range"],
+                                seed=params["seed"],
+                                precision=params.get("precision", "fp32"))
+    return plan_cell(bench, params["module"], params["faults"],
+                     params["seed"], batch_size=params["batch_size"],
+                     timeout=params["timeout"],
+                     fault_model=params.get("fault_model", "transient"),
+                     burst_width=params.get("burst_width", 4),
+                     burst_window=params.get("burst_window", 4))
 
 
-def _run_pipeline_job(params: dict, jobdir: Path, cancel, progress,
-                      metrics) -> dict:
+def _run_campaign_job(kind: str, params: dict, jobdir: Path, cancel,
+                      progress, metrics) -> dict:
+    """Execute a pvf/rtl job's plan in-process.
+
+    ``target_ci`` runs it adaptively.  Stuck-at jobs run the
+    per-application signature campaign; beyond ``report.json`` their
+    enveloped report lands in ``signature.json`` — the ``signature``
+    artifact the API serves.
+    """
+    from ..adaptive import execute_adaptive
+    from ..campaign.engine import execute
+
+    plan = _job_plan(kind, params)
+    journal = jobdir / _JOURNALS[plan.kind]
+    options = dict(n_jobs=params["jobs"], checkpoint=journal,
+                   resume=journal.exists(), progress=progress,
+                   metrics=metrics, cancel=cancel)
+    if plan.kind == "signature-report":
+        from ..artifacts import dump_artifact
+
+        report = execute(plan, **options)[0]
+        enveloped = dump_artifact("signature-report", report)
+        (jobdir / "signature.json").write_text(
+            json.dumps(enveloped, indent=2) + "\n")
+        return _signature_result(params, report)
+    build = _pvf_result if kind == "pvf" else _rtl_result
+    if params.get("target_ci") is None:
+        return build(params, execute(plan, **options)[0])
+    outcome = execute_adaptive(plan, _adaptive_config(params), **options)
+    result = build(params, outcome.report)
+    result["adaptive"] = {"rounds": outcome.rounds,
+                          "converged": outcome.converged,
+                          "cells": outcome.summary}
+    return result
+
+
+def _run_pipeline_job(params: dict, jobdir: Path, cancel,
+                      progress) -> dict:
     from ..campaign.pipeline import run_pipeline
     from ..gpu.isa import Opcode
 
@@ -537,35 +527,20 @@ def _run_pipeline_job(params: dict, jobdir: Path, cancel, progress,
     return {"kind": "pipeline", **summary}
 
 
-_RUNNERS = {
-    "pvf": _run_pvf_job,
-    "rtl": _run_rtl_job,
-    "pipeline": _run_pipeline_job,
-}
-
-
 # -- unit sharding (multi-worker jobs) ----------------------------------------
-def _job_plan_sizes(job: Job) -> Optional[List[int]]:
-    """The job's fixed seed-indexed unit-size plan (None: unshardable)."""
-    from ..campaign.engine import plan_batches
+def _shard_plan(kind: str, params: dict) -> CampaignPlan:
+    """The plan of a job remote workers may run in shards.
 
-    params = job.params
-    if job.kind == "pvf":
-        return plan_batches(params["injections"], params["batch_size"])
-    if job.kind == "rtl":
-        if params.get("fault_model", "transient") == "stuck-at":
-            # signature jobs run in-process: their (fault x app) units
-            # journal to signature.jsonl, not the rtl-report shard shape
-            return None
-        if params["faults"] <= 0:
-            return []
-        if params["batch_size"] is None:
-            return [params["faults"]]  # one unit from the raw cell seed
-        return plan_batches(params["faults"], params["batch_size"])
-    return None
+    Pipeline jobs are multi-stage, and signature jobs journal their
+    (fault x app) units to ``signature.jsonl``: both run in-process only
+    and raise :class:`ServiceError` here.
+    """
+    if kind == "pipeline" or params.get("fault_model") == "stuck-at":
+        raise ServiceError(f"{kind} jobs cannot be sharded across workers")
+    return _job_plan(kind, params)
 
 
-def _adaptive_horizon(job: Job, sizes: List[int],
+def _adaptive_horizon(job: Job, plan: CampaignPlan,
                       jobdir: Union[str, Path, None]
                       ) -> Tuple[int, int, bool]:
     """Replay journaled tallies through the pure stop rule.
@@ -583,10 +558,10 @@ def _adaptive_horizon(job: Job, sizes: List[int],
     from ..adaptive import next_horizon
 
     config = _adaptive_config(job.params)
+    sizes = [unit.size for unit in plan.units]
     completed: Dict[int, object] = {}
     if jobdir is not None:
-        name = "pvf.jsonl" if job.kind == "pvf" else "rtl.jsonl"
-        if (Path(jobdir) / name).exists():
+        if (Path(jobdir) / _JOURNALS[plan.kind]).exists():
             journal = open_shard_journal(job, jobdir)
             journal.close()
             completed = journal.completed
@@ -623,12 +598,15 @@ def plan_job_units(job: Job, jobdir: Union[str, Path, None] = None
     table whenever new results push the horizon out.
     """
     params = job.params
-    sizes = _job_plan_sizes(job)
-    if sizes is None or not sizes:
+    try:
+        plan = _shard_plan(job.kind, params)
+    except ServiceError:
         return None
-    n_units = len(sizes)
+    if not plan.units:
+        return None
+    n_units = len(plan.units)
     if params.get("target_ci") is not None:
-        n_units = _adaptive_horizon(job, sizes, jobdir)[0]
+        n_units = _adaptive_horizon(job, plan, jobdir)[0]
         if n_units <= 0:
             return None
     per_claim = params.get("units_per_claim")
@@ -643,66 +621,35 @@ def run_job_units(kind: str, params: dict, lo: int, hi: int,
                   ) -> Dict[int, dict]:
     """Execute units ``[lo, hi)`` of a sharded job on this machine.
 
-    The worker-side half of the shard protocol: rebuilds the job's
-    workload from its (normalized) parameters and runs exactly the
-    engine units a single-process run would execute at those indices.
-    Returns ``{unit index: report payload}`` ready to POST back.
+    The worker-side half of the shard protocol: re-plans the job from
+    its (normalized) parameters and runs exactly the engine units a
+    single-process run would execute at those indices.  Returns
+    ``{unit index: report payload}`` ready to POST back.
     """
-    if kind == "pvf":
-        from ..swfi.campaign import run_pvf_units
+    from ..campaign.engine import execute
 
-        app, model = _pvf_workload(params)
-        done = run_pvf_units(
-            app, model, params["injections"], lo, hi,
-            seed=params["seed"], batch_size=params["batch_size"],
-            timeout=params["timeout"], cancel=cancel)
-    elif kind == "rtl":
-        from ..rtl.campaign import run_campaign_units
-
-        done = run_campaign_units(
-            _rtl_bench(params), params["module"], params["faults"],
-            lo, hi, seed=params["seed"],
-            batch_size=params["batch_size"],
-            timeout=params["timeout"], cancel=cancel,
-            fault_model=params.get("fault_model", "transient"),
-            burst_width=params.get("burst_width", 4),
-            burst_window=params.get("burst_window", 4))
-    else:
-        raise ServiceError(
-            f"{kind} jobs cannot be sharded across workers")
-    return {index: report.to_dict() for index, report in done.items()}
+    plan = _shard_plan(kind, params)
+    done: Dict[int, dict] = {}
+    execute(plan.shard(lo, hi), cancel=cancel, collect=False,
+            consume=lambda index, report: done.update(
+                {index: report.to_dict()}))
+    return done
 
 
 def open_shard_journal(job: Job, jobdir: Union[str, Path]
                        ) -> CampaignCheckpoint:
     """Open (resuming if present) a sharded job's unit journal.
 
-    Same path and header as the in-process runner's checkpoint, so a
-    job can move freely between sharded and in-process execution across
-    requeues and always resume from the units already delivered.
+    Same path and header as the in-process runner's checkpoint (both
+    come from :func:`_job_plan`), so a job can move freely between
+    sharded and in-process execution across requeues and always resume
+    from the units already delivered.
     """
-    params = job.params
+    plan = _shard_plan(job.kind, job.params)
     jobdir = Path(jobdir)
     jobdir.mkdir(parents=True, exist_ok=True)
-    if job.kind == "pvf":
-        from ..swfi.campaign import pvf_checkpoint_header
-
-        header = pvf_checkpoint_header(
-            params["app"], _MODEL_NAMES[params["model"]],
-            params["seed"], params["batch_size"], params["injections"])
-        return CampaignCheckpoint(jobdir / "pvf.jsonl", header,
-                                  kind="pvf-report", resume=True)
-    if job.kind == "rtl":
-        from ..rtl.campaign import cell_checkpoint_header
-
-        header = cell_checkpoint_header(
-            _rtl_bench(params), params["module"], None,
-            params["faults"], params["seed"], params["batch_size"],
-            fault_model=params.get("fault_model", "transient"))
-        return CampaignCheckpoint(jobdir / "rtl.jsonl", header,
-                                  kind="rtl-report", resume=True)
-    raise ServiceError(f"{job.kind} jobs cannot be sharded across "
-                       f"workers")
+    return CampaignCheckpoint(jobdir / _JOURNALS[plan.kind], plan.header,
+                              kind=plan.kind, resume=True)
 
 
 def finalize_sharded_job(store: JobStore, job: Job,
@@ -765,31 +712,27 @@ def _sharded_adaptive_summary(job: Job, jobdir: Path, merged) -> dict:
     """
     from ..analysis.stats import wilson_interval
 
-    sizes = _job_plan_sizes(job) or []
-    horizon, rounds, _ = _adaptive_horizon(job, sizes, jobdir)
+    plan = _shard_plan(job.kind, job.params)
+    horizon, rounds, _ = _adaptive_horizon(job, plan, jobdir)
     config = _adaptive_config(job.params)
     low, high = wilson_interval(merged.n_sdc, merged.n_injections,
                                 config.confidence)
     converged = (merged.n_injections >= config.min_per_cell
                  and high - low <= config.target_ci)
-    if job.kind == "pvf":
-        cell = f"{merged.app_name}/{merged.model_name}"
-    else:
-        cell = f"{_rtl_bench(job.params).name}/{job.params['module']}"
     return {
         "rounds": rounds,
         "converged": converged,
         "cells": [{
-            "cell": cell,
+            "cell": plan.cells[0].label,
             "trials": merged.n_injections,
             "sdc": merged.n_sdc,
             "ci_low": low,
             "ci_high": high,
             "ci_width": high - low,
             "units": horizon,
-            "plan_units": len(sizes),
+            "plan_units": len(plan.units),
             "converged": converged,
-            "exhausted": horizon >= len(sizes),
+            "exhausted": horizon >= len(plan.units),
         }],
     }
 
@@ -834,8 +777,11 @@ def execute_job(job: Job, jobdir: Union[str, Path],
         metrics = _LiveMetrics(f"{job.kind}/job-{job.id}",
                                jobdir / "metrics.json")
     try:
-        result = _RUNNERS[job.kind](params, jobdir, cancel, progress,
-                                    metrics)
+        if job.kind == "pipeline":
+            result = _run_pipeline_job(params, jobdir, cancel, progress)
+        else:
+            result = _run_campaign_job(job.kind, params, jobdir, cancel,
+                                       progress, metrics)
     except CampaignCancelled as exc:
         if state["why"] == "budget":
             raise BudgetExceeded(

@@ -20,8 +20,8 @@ Pool execution, JSONL checkpoint/resume and the in-order merge are all
 owned by the shared level-agnostic engine
 (:mod:`repro.campaign.engine`); this module contributes only the
 SWFI-specific pieces — the report type, the per-batch injection loop,
-and the worker state (one :class:`SoftwareInjector` whose
-golden+profile pass runs once per worker).
+the worker state (one :class:`SoftwareInjector` whose golden+profile
+pass runs once per worker) and :func:`plan_pvf`, the campaign's plan.
 """
 
 from __future__ import annotations
@@ -29,25 +29,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from ..campaign.checkpoint import CampaignCheckpoint
 from ..campaign.engine import (
     DEFAULT_BATCH_SIZE,
+    CampaignPlan,
+    PlanCell,
     WorkUnit,
-    merge_ordered,
+    execute,
     plan_batches,
     plan_units,
-    run_units,
 )
 from ..campaign.progress import ProgressReporter
-from ..campaign.telemetry import (
-    CampaignMetrics,
-    emit_metrics,
-    resolve_metrics,
-)
+from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
-from ..rng import make_rng, spawn_seed_range
+from ..rng import make_rng
 from ..rtl.classify import Outcome
 from ..analysis.stats import proportion_confidence_interval
 from .injector import InjectionResult, SoftwareInjector
@@ -57,11 +54,10 @@ __all__ = [
     "PVFReport",
     "CampaignCheckpoint",
     "plan_batches",
-    "pvf_checkpoint_header",
+    "plan_pvf",
+    "plan_pvf_by_name",
     "run_pvf_batch",
     "run_pvf_campaign",
-    "run_pvf_units",
-    "run_pvf_until",
 ]
 
 
@@ -199,8 +195,14 @@ class _SwfiState:
             self.injector.run_golden()  # pay the reference pass up front
 
 
-def _swfi_state(app, model: FaultModel) -> _SwfiState:
+def _given(app, model: FaultModel):
+    """The workload of a plan built from ready objects."""
+    return app, model
+
+
+def _swfi_state(workload: Callable[[], tuple]) -> _SwfiState:
     """Picklable worker-state factory (``functools.partial`` target)."""
+    app, model = workload()
     return _SwfiState(app, model, eager_golden=True)
 
 
@@ -211,49 +213,54 @@ def _run_swfi_unit(state: _SwfiState, unit: WorkUnit,
                          injector=state.injector, timeout=timeout)
 
 
-def pvf_checkpoint_header(app_name: str, model_name: str, seed: int,
-                          batch_size: Optional[int],
-                          n_injections: Optional[int]) -> dict:
-    """The journal header identifying one PVF campaign's unit plan.
+def plan_pvf(app, model: FaultModel, n_injections: int, seed: int = 0,
+             batch_size: Optional[int] = None,
+             timeout: Optional[float] = None) -> CampaignPlan:
+    """The unit plan of one PVF campaign (a single cell).
 
-    Shared between the in-process runner and the service daemon's
-    shard-ingest path, so a journal written by either is resumable by
-    the other (the header is the campaign's identity check).
+    Batch *i* injects from child seed *i* of *seed*; the journal header
+    — the campaign's identity, shared by the in-process runners and the
+    service's shard journal — depends only on the app and model names
+    and ``(n_injections, seed, batch_size)``.
     """
-    return {
-        "app": app_name,
-        "model": model_name,
-        "seed": int(seed),
-        "batch_size": int(DEFAULT_BATCH_SIZE if batch_size is None
-                          else batch_size),
-        "n_injections": None if n_injections is None else int(n_injections),
-    }
+    return plan_pvf_by_name(app.name, model.name,
+                            partial(_given, app, model), n_injections,
+                            seed, batch_size, timeout)
 
 
-def _open_checkpoint(path: Optional[Union[str, Path]], resume: bool,
-                     app, model: FaultModel, seed: int,
-                     batch_size: Optional[int],
-                     n_injections: Optional[int]
-                     ) -> Optional[CampaignCheckpoint]:
-    if path is None:
-        if resume:
-            raise CampaignError("resume=True requires a checkpoint path")
-        return None
-    header = pvf_checkpoint_header(app.name, model.name, seed,
-                                   batch_size, n_injections)
-    return CampaignCheckpoint(path, header, kind="pvf-report",
-                              resume=resume)
+def plan_pvf_by_name(app_name: str, model_name: str,
+                     workload: Callable[[], tuple], n_injections: int,
+                     seed: int = 0, batch_size: Optional[int] = None,
+                     timeout: Optional[float] = None) -> CampaignPlan:
+    """:func:`plan_pvf` for a workload that is not built yet.
+
+    *workload* is a picklable zero-argument callable returning the
+    ``(app, model)`` pair named *app_name*/*model_name*.  Only a process
+    that runs units calls it, so planning — which is all the service
+    daemon does for jobs its remote workers run — costs no application
+    construction or database load.
+    """
+    label = f"{app_name}/{model_name}"
+    return CampaignPlan(
+        cells=(PlanCell(label, tuple(plan_units(n_injections, seed,
+                                                batch_size)),
+                        partial(PVFReport, app_name=app_name,
+                                model_name=model_name)),),
+        run_unit=partial(_run_swfi_unit, timeout=timeout),
+        state_factory=partial(_swfi_state, workload),
+        header={
+            "app": app_name,
+            "model": model_name,
+            "seed": int(seed),
+            "batch_size": int(DEFAULT_BATCH_SIZE if batch_size is None
+                              else batch_size),
+            "n_injections": int(n_injections),
+        },
+        kind="pvf-report",
+        stage=f"pvf/{label}")
 
 
-def _check_jobs(n_jobs: int, injector: Optional[SoftwareInjector]) -> None:
-    if n_jobs < 1:
-        raise CampaignError("n_jobs must be at least 1")
-    if n_jobs > 1 and injector is not None:
-        raise CampaignError(
-            "a shared injector cannot be used with parallel workers")
-
-
-# -- campaign runners --------------------------------------------------------
+# -- campaign runner ---------------------------------------------------------
 def run_pvf_campaign(app, model: FaultModel, n_injections: int,
                      seed: int = 0,
                      injector: Optional[SoftwareInjector] = None,
@@ -280,125 +287,8 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
     runs and written next to the journal); ``n_injections=0`` yields an
     empty report.
     """
-    _check_jobs(n_jobs, injector)
-    units = plan_units(n_injections, seed, batch_size)
-    journal = _open_checkpoint(checkpoint, resume, app, model, seed,
-                               batch_size, n_injections)
-    metrics = resolve_metrics(metrics, checkpoint,
-                              f"pvf/{app.name}/{model.name}")
-    state = None
-    if n_jobs == 1 and units:
-        state = _SwfiState(app, model, injector=injector)
-    results = run_units(
-        units,
-        partial(_run_swfi_unit, timeout=timeout),
-        n_jobs=n_jobs,
-        state_factory=partial(_swfi_state, app, model),
-        state=state,
-        checkpoint=journal,
-        progress=progress,
-        metrics=metrics,
-        cancel=cancel,
-    )
-    emit_metrics(metrics, checkpoint)
-    return merge_ordered(results, empty=lambda: PVFReport(
-        app_name=app.name, model_name=model.name))
-
-
-def run_pvf_units(app, model: FaultModel, n_injections: int,
-                  lo: int, hi: int,
-                  seed: int = 0,
-                  batch_size: Optional[int] = None,
-                  timeout: Optional[float] = None,
-                  cancel: Optional[Callable[[], bool]] = None
-                  ) -> Dict[int, PVFReport]:
-    """Run only units ``[lo, hi)`` of the campaign's deterministic plan.
-
-    This is the distributed-worker entry point: the unit plan depends
-    only on ``(n_injections, seed, batch_size)``, so any worker handed a
-    ``(lo, hi)`` shard recomputes exactly the units (index, size, child
-    seed) the single-process run would have executed at those indices.
-    Merging all shards' reports in unit-index order (the daemon's job)
-    is therefore bit-identical to the serial campaign.  Returns
-    ``{unit index: batch report}``.
-    """
-    units = plan_units(n_injections, seed, batch_size)
-    if not 0 <= lo < hi <= len(units):
-        raise CampaignError(
-            f"unit range [{lo}, {hi}) is outside the campaign's "
-            f"{len(units)}-unit plan")
-    subset = units[lo:hi]
-    done = run_units(
-        subset,
-        partial(_run_swfi_unit, timeout=timeout),
-        n_jobs=1,
-        state=_SwfiState(app, model),
-        cancel=cancel,
-    )
-    return dict(done)
-
-
-def run_pvf_until(app, model: FaultModel,
-                  target_halfwidth: float = 0.05,
-                  confidence: float = 0.95,
-                  min_injections: int = 100,
-                  max_injections: int = 50_000,
-                  seed: int = 0,
-                  injector: Optional[SoftwareInjector] = None,
-                  n_jobs: int = 1,
-                  timeout: Optional[float] = None,
-                  progress: Optional[ProgressReporter] = None,
-                  metrics: Optional[CampaignMetrics] = None
-                  ) -> PVFReport:
-    """Inject until the PVF confidence interval is tight enough.
-
-    The paper sizes its campaigns so the 95% confidence interval stays
-    below 5 percentage points; this runner does that adaptively: it
-    injects in batches of *min_injections* until the Wilson interval's
-    half-width drops under *target_halfwidth* (or *max_injections* is
-    reached).  With ``n_jobs > 1`` each adaptive round launches one batch
-    per worker, so the campaign grows ``n_jobs`` batches at a time; batch
-    seeds keep following the global child-seed index, making any run
-    reproducible for a fixed ``(seed, min_injections, n_jobs)``.
-    """
-    if not 0 < target_halfwidth < 1:
-        raise ValueError("target_halfwidth must be in (0, 1)")
-    if min_injections < 10:
-        raise ValueError("min_injections must be at least 10")
-    _check_jobs(n_jobs, injector)
-    state = None
-    if n_jobs == 1:
-        state = _SwfiState(app, model, injector=injector)
-    report = PVFReport(app_name=app.name, model_name=model.name)
-    next_index = 0
-    while report.n_injections < max_injections:
-        units = []
-        scheduled = report.n_injections
-        round_seeds = spawn_seed_range(seed, next_index, n_jobs)
-        for offset in range(n_jobs):
-            size = min(min_injections, max_injections - scheduled)
-            if size <= 0:
-                break
-            units.append(WorkUnit(
-                index=next_index + offset, size=size,
-                seed=round_seeds[offset],
-                label=f"batch {next_index + offset}"))
-            scheduled += size
-        done = run_units(
-            units,
-            partial(_run_swfi_unit, timeout=timeout),
-            n_jobs=n_jobs,
-            state_factory=partial(_swfi_state, app, model),
-            state=state,
-            progress=progress,
-            metrics=metrics,
-        )
-        if metrics is not None:
-            metrics.total_units = None  # adaptive: total is unknowable
-        next_index += len(units)
-        for index in sorted(done):
-            report.merge_in(done[index])
-        low, high = report.confidence_interval(confidence)
-        if (high - low) / 2 <= target_halfwidth:
-            break
-    return report
+    plan = plan_pvf(app, model, n_injections, seed, batch_size, timeout)
+    state = None if injector is None else _SwfiState(app, model, injector)
+    return execute(plan, n_jobs=n_jobs, state=state, checkpoint=checkpoint,
+                   resume=resume, progress=progress, metrics=metrics,
+                   cancel=cancel)[0]

@@ -81,6 +81,16 @@ class TestPrecisionDispatch:
         assert app.precision == "bf16"
         assert app.name == "Transformer-bf16"
 
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_name_is_known_without_building(self, precision):
+        from repro.apps import APP_FACTORIES, application_name
+
+        app = make_application("Transformer", seed=1, precision=precision)
+        assert application_name("Transformer", precision) == app.name
+        # fp32 apps carry their factory key as a class-level name
+        for name, factory in APP_FACTORIES.items():
+            assert application_name(name) == factory.name == name
+
     def test_fp32_only_apps_reject_reduced_precision(self):
         with pytest.raises(ValueError, match="fp32 only"):
             make_application("MxM", seed=1, precision="fp16")

@@ -133,3 +133,44 @@ class TestBurstJobOverHttp:
         done = client.wait(job["id"], timeout=240)
         assert done["state"] == "done"
         assert "fault_model" not in done["result"]
+
+
+class TestAdaptiveBurstJob:
+    """An adaptive burst job injects burst faults on both service paths.
+
+    The in-process scheduler and a remote worker draining the job in
+    shards must run the same unit plan: same faults, same journal
+    header, same result.
+    """
+
+    PARAMS = {"opcode": "FADD", "module": "fp32", "range": "M",
+              "faults": 20, "seed": 3, "batch_size": 10,
+              "fault_model": "burst", "target_ci": 0.9}
+
+    def test_in_process_result_equals_sharded_drain(self, tmp_path):
+        import time
+
+        from repro.service import CampaignWorker, JobStore, execute_job
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        store.submit("rtl", normalize_params("rtl", self.PARAMS))
+        jobdir = tmp_path / "in-process"
+        in_process = execute_job(store.claim_next(), jobdir, store=store)
+        header = json.loads(
+            (jobdir / "rtl.jsonl").read_text().splitlines()[0])
+        assert header["fault_model"] == "burst"
+
+        with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
+                           quiet=True, execute_jobs=False) as daemon:
+            client = ServiceClient(daemon.url, timeout=30.0)
+            job = client.submit("rtl", **self.PARAMS)
+            worker = CampaignWorker(daemon.url, name="w0",
+                                    lease_seconds=60, poll_interval=0.05)
+            deadline = time.monotonic() + 120
+            while client.job(job["id"])["state"] not in (
+                    "done", "failed", "cancelled"):
+                assert time.monotonic() < deadline
+                worker.run_forever(drain=True)
+                time.sleep(0.05)
+            body, _etag = client.artifact(job["id"], "report")
+        assert json.loads(body) == json.loads(json.dumps(in_process))

@@ -173,6 +173,53 @@ class TestWorkerFleet:
         assert row["jobs_claimed"] == 1
 
 
+class TestDaemonPlanning:
+    def test_claim_and_delivery_build_no_workload_in_the_daemon(
+            self, daemon, client, monkeypatch):
+        """The daemon plans, journals and merges a pvf job from its
+        parameters alone: only the worker builds the app and model."""
+        import repro.apps
+        import repro.datafiles
+        from repro.apps import make_application
+        from repro.datafiles import load_database
+        from repro.service import run_job_units
+        from repro.swfi.campaign import run_pvf_campaign
+        from repro.swfi.models import RelativeErrorSyndrome
+
+        built = []
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(repro.apps, "make_application",
+                            counted("app", make_application))
+        monkeypatch.setattr(repro.datafiles, "load_database",
+                            counted("database", load_database))
+        job = client.submit("pvf", app="MxM", model="syndrome",
+                            injections=20, seed=5, batch_size=5,
+                            units_per_claim=2)
+        for lo, hi in ((0, 2), (2, 4)):
+            claim = client.claim("w1", lease_seconds=60)
+            assert claim["units"] == [lo, hi]
+            assert built == []
+            reports = run_job_units("pvf", claim["job"]["params"], lo, hi)
+            assert built == ["app", "database"]
+            built.clear()
+            client.post_units(job["id"], "w1", lo, reports)
+            assert built == []
+        done = client.wait(job["id"], timeout=60)
+        assert done["state"] == "done"
+        body, _ = client.artifact(job["id"], "report")
+        direct = run_pvf_campaign(
+            make_application("MxM", seed=5),
+            RelativeErrorSyndrome(load_database()), 20, seed=5,
+            batch_size=5)
+        assert json.loads(body)["report"] == direct.to_dict()
+
+
 class TestBackpressure:
     def test_saturated_queue_answers_429(self, tmp_path):
         with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=5,

@@ -20,7 +20,6 @@ from repro.swfi.campaign import (
     plan_batches,
     run_pvf_batch,
     run_pvf_campaign,
-    run_pvf_until,
 )
 from repro.swfi.injector import SoftwareInjector
 from repro.swfi.models import (
@@ -199,21 +198,6 @@ class TestCheckpoint:
         run_pvf_campaign(MixedApp(), SingleBitFlip(), 20, seed=6,
                          checkpoint=path)  # no resume: start over
         assert len(path.read_text().splitlines()) == 2
-
-
-class TestRunUntil:
-    def test_serial_reproducible(self):
-        kwargs = dict(min_injections=50, max_injections=200, seed=2)
-        a = run_pvf_until(MixedApp(), SingleBitFlip(), **kwargs)
-        b = run_pvf_until(MixedApp(), SingleBitFlip(), **kwargs)
-        assert a.to_dict() == b.to_dict()
-
-    @pytest.mark.multicore
-    def test_parallel_grows_in_rounds(self):
-        report = run_pvf_until(
-            MixedApp(), SingleBitFlip(), target_halfwidth=0.001,
-            min_injections=20, max_injections=80, seed=2, n_jobs=2)
-        assert report.n_injections == 80
 
 
 class TestWallClockGuard:
