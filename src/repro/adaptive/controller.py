@@ -36,7 +36,7 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.stats import wilson_interval
+from ..analysis.stats import _z, wilson_interval
 from ..campaign.engine import WorkUnit
 from ..errors import CampaignError
 
@@ -90,12 +90,6 @@ class AdaptiveConfig:
                 f"choose from {', '.join(STRATEGIES)}")
 
 
-def _z_score(confidence: float) -> float:
-    from scipy import stats as _sps
-
-    return float(_sps.norm.ppf(0.5 + confidence / 2.0))
-
-
 def _smoothed(successes: int, trials: int) -> float:
     """Laplace-smoothed proportion estimate.
 
@@ -116,7 +110,7 @@ def required_trials(successes: int, trials: int,
     actual Wilson interval, so an optimistic estimate merely costs one
     more (small) round.
     """
-    z = _z_score(config.confidence)
+    z = _z(config.confidence)
     p = _smoothed(successes, trials)
     half = config.target_ci / 2.0
     needed = math.ceil(z * z * p * (1.0 - p) / (half * half))

@@ -13,7 +13,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _sps
 
 __all__ = [
     "margin_of_error",
@@ -22,6 +21,17 @@ __all__ = [
     "wilson_interval",
     "log_histogram",
 ]
+
+
+def _z(confidence: float) -> float:
+    """Two-sided normal critical value for *confidence*.
+
+    scipy is imported here, not at module level: it costs more than the
+    rest of ``import repro`` together, and most callers never need it.
+    """
+    from scipy import stats as _sps
+
+    return float(_sps.norm.ppf(0.5 + confidence / 2.0))
 
 
 def margin_of_error(n_samples: int, population: int = 10**9,
@@ -36,7 +46,7 @@ def margin_of_error(n_samples: int, population: int = 10**9,
         raise ValueError("n_samples must be positive")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
-    t = float(_sps.norm.ppf(0.5 + confidence / 2.0))
+    t = _z(confidence)
     n = min(n_samples, population)
     finite = (population - n) / max(population - 1, 1)
     return t * math.sqrt(p * (1.0 - p) / n * finite)
@@ -47,7 +57,7 @@ def sample_size_for_margin(margin: float, population: int = 10**9,
     """Faults needed for a target margin of error (inverse of the above)."""
     if not 0 < margin < 1:
         raise ValueError("margin must be in (0, 1)")
-    t = float(_sps.norm.ppf(0.5 + confidence / 2.0))
+    t = _z(confidence)
     n0 = (t / margin) ** 2 * p * (1.0 - p)
     n = n0 / (1.0 + (n0 - 1.0) / population)
     return int(math.ceil(n))
@@ -77,7 +87,7 @@ def wilson_interval(successes: int, trials: int,
         return (0.0, 1.0)
     if not 0 <= successes <= trials:
         raise ValueError("successes must be within [0, trials]")
-    z = float(_sps.norm.ppf(0.5 + confidence / 2.0))
+    z = _z(confidence)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom

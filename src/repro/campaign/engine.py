@@ -372,8 +372,10 @@ def run_units(
                 observer(by_index[index], report)
 
         emitter = _OrderedEmitter([u.index for u in units], _emit)
-    if metrics is not None and metrics.total_units is None:
-        metrics.total_units = len(units)
+    if metrics is not None:
+        metrics.start()
+        if metrics.total_units is None:
+            metrics.total_units = len(units)
 
     def _finish(index: int, report: Any, cached: bool,
                 seconds: float = 0.0, queue_wait: float = 0.0,

@@ -122,7 +122,9 @@ class CampaignMetrics:
     The engine calls :meth:`record_unit` once per completed unit (cached
     replays included); everything else — rates, ETA, outcome totals,
     serialisation — is derived.  ``total_units`` is filled in by the
-    engine when the plan is known.
+    engine when the plan is known.  The stage wall-clock starts on the
+    engine's first use (:meth:`start`), not at construction: callers
+    build collectors ahead of the stages they time.
     """
 
     def __init__(self, stage: str, total_units: Optional[int] = None,
@@ -131,15 +133,21 @@ class CampaignMetrics:
         self.total_units = total_units
         self.meta = dict(meta or {})
         self.units: List[UnitRecord] = []
-        self._started = time.perf_counter()
+        self._started: Optional[float] = None
         self._wall: Optional[float] = None
 
     # -- collection ---------------------------------------------------------
+    def start(self) -> None:
+        """Start the stage wall-clock; later calls keep the first start."""
+        if self._started is None:
+            self._started = time.perf_counter()
+
     def record_unit(self, index: int, label: str = "", size: int = 0,
                     report: Any = None, *, seconds: float = 0.0,
                     queue_wait: float = 0.0, cached: bool = False,
                     worker: Optional[int] = None) -> UnitRecord:
         """Record one finished unit, sniffing tallies off its report."""
+        self.start()
         self._wall = None  # live again: un-freeze the wall-clock
         record = UnitRecord(
             index=index, label=label, size=size,
@@ -156,11 +164,13 @@ class CampaignMetrics:
     def finish(self) -> None:
         """Stamp the stage wall-clock.
 
-        Restamps on every call (always measuring from construction), so
-        a collector reused across engine rounds — the adaptive PVF
-        runner — keeps a wall-clock that covers all of them.
+        Restamps on every call (always measuring from the first
+        :meth:`start`), so a collector reused across engine rounds — the
+        adaptive runners — keeps a wall-clock that covers all of them.
+        A collector never started has a zero wall-clock.
         """
-        self._wall = time.perf_counter() - self._started
+        self._wall = (0.0 if self._started is None
+                      else time.perf_counter() - self._started)
 
     # -- aggregates ---------------------------------------------------------
     @property
@@ -178,6 +188,8 @@ class CampaignMetrics:
     def wall_seconds(self) -> float:
         if self._wall is not None:
             return self._wall
+        if self._started is None:
+            return 0.0
         return time.perf_counter() - self._started
 
     def outcome_totals(self) -> Dict[str, int]:

@@ -546,16 +546,19 @@ class FaultPlane:
 
     # -- golden-trace recording -------------------------------------------
     def attach_recorder(self, recorder) -> None:
-        """Route every latch through *recorder* (golden-trace capture).
+        """Route the latches of ``recorder.module`` through *recorder*.
 
         While a recorder is attached the plane is no longer passive:
-        modules dispatch every stage-register write through :meth:`latch`
-        (which logs it and returns the value unchanged), and
-        :meth:`pending_for` reports True so conditionally-skipped latches
-        (pipeline bubbles, shadow banks) are captured too.  The recorded
-        latch schedule is therefore a superset of what any single faulted
-        run performs before its transient fires — the property the
-        vectorized injector's fault-firing resolution relies on.
+        modules dispatch every stage-register write through :meth:`latch`,
+        which logs the writes of the recorded module and returns every
+        value unchanged, and :meth:`pending_for` reports True for the
+        recorded module so its conditionally-skipped latches (pipeline
+        bubbles, shadow banks) are captured too.  The recorded latch
+        schedule is therefore a superset of what any single faulted run
+        whose fault targets that module performs before the fault fires
+        — the property the vectorized injector's fault-firing resolution
+        relies on.  Latches of other modules are not logged: a fault list
+        targets one module, so nothing would read them.
         """
         if self._armed is not None:
             raise RuntimeError(
@@ -594,14 +597,16 @@ class FaultPlane:
     def pending_for(self, module: str) -> bool:
         """True while the armed model targeting *module* is still live.
 
-        Also True while a golden-trace recorder is attached, so that
-        latches normally skipped when no flip can land (bubble slots,
-        shadow banks) are still captured in the trace.  A permanently-
-        armed model (stuck-at) keeps its module pending for the whole
-        run — its target register must be interposed on every write.
+        Also True for the recorded module while a golden-trace recorder
+        is attached, so that its latches normally skipped when no flip
+        can land (bubble slots, shadow banks) are still captured in the
+        trace.  A permanently-armed model (stuck-at) keeps its module
+        pending for the whole run — its target register must be
+        interposed on every write.
         """
-        if self._recorder is not None:
-            return True
+        recorder = self._recorder
+        if recorder is not None:
+            return module == recorder.module
         armed = self._armed
         return (armed is not None and armed.pending
                 and armed.flipflop.module == module)
@@ -623,8 +628,10 @@ class FaultPlane:
         Called for every stage-register write in the model, so it stays as
         cheap as possible in the common (no matching fault) case.
         """
-        if self._recorder is not None:
-            self._recorder.on_latch(module, name, lane, self.cycle)
+        recorder = self._recorder
+        if recorder is not None:
+            if module == recorder.module:
+                recorder.on_latch(name, lane, self.cycle)
             return value
         armed = self._armed
         if armed is None:
@@ -644,3 +651,23 @@ class FaultPlane:
             # drops back to the passive fast path
             self.passive = self._recorder is None
         return out
+
+    def latch_bank(self, module: str, keys: Tuple[Tuple[str, str, int], ...],
+                   key_set: frozenset) -> None:
+        """Latch a zero into every register of a bank (one bubble cycle).
+
+        Exactly equivalent to ``latch(module, name, 0, lane)`` for every
+        ``(module, name, lane)`` of *keys* (*key_set* is the same keys as
+        a set), but costs one membership test instead of one call per
+        register: a recorder logs every key at the current cycle, and an
+        armed model sees the one latch of its own key, if the bank holds
+        it — a latch of any other key has no side effect.
+        """
+        recorder = self._recorder
+        if recorder is not None:
+            if module == recorder.module:
+                recorder.on_latch_bank(keys, self.cycle)
+            return
+        key = self._armed_key
+        if self._armed is not None and key in key_set:
+            self.latch(module, key[1], 0, key[2])

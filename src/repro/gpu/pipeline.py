@@ -126,6 +126,17 @@ class PipelineRegisters:
                 plane.declare(
                     FlipFlop(module, prefix + name, width, -1, kind))
         self._shadow_prefixes = prefixes[1:]
+        #: every register a bubble cycle latches, for plane.latch_bank
+        self._bubble_keys = tuple(
+            (module, name, slot)
+            for slot in range(warp_size)
+            for name, _, _ in self._SLOT_REGISTERS
+        ) + tuple(
+            (module, prefix + name, -1)
+            for prefix in prefixes
+            for name, _, _ in self._CTRL_REGISTERS
+        )
+        self._bubble_key_set = frozenset(self._bubble_keys)
 
     def _latch(self, name: str, value: int, lane: int, width: int) -> int:
         mask = (1 << width) - 1
@@ -290,13 +301,10 @@ class PipelineRegisters:
         Called during fetch/decode overhead and memory-latency stall
         cycles: the pipeline keeps clocking, but whatever a transient
         flips in a bubble slot is discarded.  Skipped entirely unless an
-        injection is still pending (golden runs pay nothing).
+        injection is still pending (golden runs pay nothing); otherwise
+        the whole bank latches through one :meth:`FaultPlane.latch_bank`
+        call.
         """
-        if not self.plane.pending_for(self.module):
-            return
-        for slot in range(self.warp_size):
-            for name, _, _ in self._SLOT_REGISTERS:
-                self.plane.latch(self.module, name, 0, slot)
-        for prefix in [""] + self._shadow_prefixes:
-            for name, _, _ in self._CTRL_REGISTERS:
-                self.plane.latch(self.module, prefix + name, 0, -1)
+        if self.plane.pending_for(self.module):
+            self.plane.latch_bank(self.module, self._bubble_keys,
+                                  self._bubble_key_set)

@@ -4,13 +4,16 @@ One instrumented fault-free run records everything the vectorized
 injector (:mod:`repro.rtl.vectorized`) needs to resolve and replay a
 whole fault batch without re-simulating the SM once per fault:
 
-* **the latch schedule** — for every declared flip-flop, the cycles at
-  which it latched (plus the dispatch step / execute beat the latch
-  belonged to).  Because every ``plane.tick`` in the model is
-  unconditional, a faulted run's cycle schedule is identical to the
-  golden one up to the instant its transient fires; whether and when a
+* **the latch schedule of one module** — for every declared flip-flop
+  of the module the batch injects into, the cycles at which it latched
+  (plus the dispatch step / execute beat the latch belonged to).
+  Because every ``plane.tick`` in the model is unconditional, a faulted
+  run's cycle schedule is identical to the golden one up to the instant
+  its transient fires; whether and when a
   :class:`~repro.gpu.fault_plane.TransientFault` fires is therefore a
-  pure lookup in this schedule — no simulation required;
+  pure lookup in this schedule — no simulation required.  A fault list
+  only ever targets one module, so latches of every other module are
+  not logged at all;
 * **the dispatch schedule** — the ordered instruction stream actually
   executed (warp, pc, decoded control word), which faulty universes
   replay in lockstep;
@@ -20,16 +23,19 @@ whole fault batch without re-simulating the SM once per fault:
 
 The recorder attaches to the :class:`~repro.gpu.fault_plane.FaultPlane`
 (:meth:`FaultPlane.attach_recorder`); while attached, the plane routes
-every stage-register write through :meth:`GoldenTraceRecorder.on_latch`
-and reports ``pending_for() == True`` so conditionally-skipped latches
-(pipeline bubbles, shadow banks) land in the schedule as well — making
-the recorded latch set a superset of any single faulted run's pre-fire
-latch set.
+every stage-register write of the recorder's ``module`` through
+:meth:`GoldenTraceRecorder.on_latch` (a whole bubble bank through
+:meth:`GoldenTraceRecorder.on_latch_bank`) and reports
+``pending_for(module) == True`` so that module's conditionally-skipped
+latches (pipeline bubbles, shadow banks) land in the schedule as well.
+The recorded latch set is therefore a superset of the pre-fire latch
+set of any single faulted run whose fault targets ``module``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -77,19 +83,22 @@ class StepRecord:
 
 
 class GoldenTraceRecorder:
-    """Collects the latch + dispatch schedule of one golden run."""
+    """Collects the dispatch schedule of one golden run, plus the latch
+    schedule of the flip-flops of *module*."""
 
     #: ``beat`` value attributed to latches outside an execute beat
     #: (fetch bubbles, decode, scheduler ready-scans, writeback drains).
     NO_BEAT = -1
 
-    def __init__(self) -> None:
+    def __init__(self, module: str) -> None:
+        self.module = module
         self.steps: List[StepRecord] = []
         #: flip-flop key -> parallel lists of (cycle, step, beat); the
         #: cycle list is non-decreasing, so firing resolution is a bisect.
-        self._event_cycles: Dict[Tuple[str, str, int], List[int]] = {}
+        self._event_cycles: Dict[Tuple[str, str, int],
+                                 List[int]] = defaultdict(list)
         self._event_sites: Dict[Tuple[str, str, int],
-                                List[Tuple[int, int]]] = {}
+                                List[Tuple[int, int]]] = defaultdict(list)
         self._beat = self.NO_BEAT
         self.total_cycles = 0
 
@@ -132,17 +141,20 @@ class GoldenTraceRecorder:
     def finish(self, total_cycles: int) -> None:
         self.total_cycles = total_cycles
 
-    # -- FaultPlane hook ---------------------------------------------------
-    def on_latch(self, module: str, name: str, lane: int,
-                 cycle: int) -> None:
-        key = (module, name, lane)
-        cycles = self._event_cycles.get(key)
-        if cycles is None:
-            cycles = self._event_cycles[key] = []
-            self._event_sites[key] = []
-        step = len(self.steps) - 1
-        cycles.append(cycle)
-        self._event_sites[key].append((step, self._beat))
+    # -- FaultPlane hooks --------------------------------------------------
+    def on_latch(self, name: str, lane: int, cycle: int) -> None:
+        """Log one latch of the register ``(module, name, lane)``."""
+        key = (self.module, name, lane)
+        self._event_cycles[key].append(cycle)
+        self._event_sites[key].append((len(self.steps) - 1, self._beat))
+
+    def on_latch_bank(self, keys: Sequence[Tuple[str, str, int]],
+                      cycle: int) -> None:
+        """Log one latch of every register in *keys* (a bubble bank)."""
+        site = (len(self.steps) - 1, self._beat)
+        for key in keys:
+            self._event_cycles[key].append(cycle)
+            self._event_sites[key].append(site)
 
     # -- firing resolution -------------------------------------------------
     def first_latch_at_or_after(
@@ -154,8 +166,14 @@ class GoldenTraceRecorder:
         before the injection cycle cannot consume the transient.  Returns
         None when the register never latches again — the transient decays
         unconsumed (Masked, not fired) exactly as the scalar run's
-        latching-window semantics dictate.
+        latching-window semantics dictate.  A key of any other module
+        than the recorded one raises :class:`ValueError`: its latches
+        were never logged, so "no latch" would be a silent wrong answer.
         """
+        if key[0] != self.module:
+            raise ValueError(
+                f"flip-flop {key} is not in the recorded module "
+                f"{self.module!r}")
         cycles = self._event_cycles.get(key)
         if not cycles:
             return None

@@ -237,23 +237,23 @@ class _RTLWorkerState:
             self._vectorized = VectorizedRTLInjector(self.injector)
         return self._vectorized
 
-    def prepared(self, spec: _BenchSpec):
-        """Golden trace of one workload, recorded once per worker.
+    def prepared(self, spec: _BenchSpec, module: str):
+        """Golden trace of one workload x module, recorded once per worker.
 
         The instrumented run doubles as the golden reference, so it also
         seeds :meth:`bench_and_golden`'s cache (recording never changes
         architectural results).
         """
         key = spec.cache_key
-        if key not in self._prepared:
+        if (key, module) not in self._prepared:
             if key in self._golden:
                 bench = self._golden[key][0]
             else:
                 bench = spec.build()
-            workload = self.vectorized().prepare(bench)
-            self._prepared[key] = workload
+            workload = self.vectorized().prepare(bench, module)
+            self._prepared[key, module] = workload
             self._golden.setdefault(key, (bench, workload.golden))
-        return self._prepared[key]
+        return self._prepared[key, module]
 
     def signature_fault(self, spec: _SignatureSpec) -> FaultModel:
         """One fault of the campaign's deterministic permanent-fault list.
@@ -307,7 +307,7 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
     """Engine unit runner: one fault batch against one campaign cell."""
     spec: _CellSpec = unit.spec
     if _vectorized_unit(spec, vectorize, timeout):
-        workload = state.prepared(spec.bench)
+        workload = state.prepared(spec.bench, spec.module)
         bench, golden = workload.bench, workload.golden
         faults = generate_model_fault_list(
             state.injector.plane, spec.module, unit.size, golden.cycles,

@@ -6,8 +6,9 @@ almost all of them recomputing values the golden run already produced.
 This engine amortises that interpreter overhead across a whole fault
 batch:
 
-1. **One instrumented golden run** per workload records the latch and
-   dispatch schedule (:class:`~repro.gpu.trace.GoldenTraceRecorder`).
+1. **One instrumented golden run** per workload and module records the
+   dispatch schedule and the latch schedule of that module's flip-flops
+   (:class:`~repro.gpu.trace.GoldenTraceRecorder`).
 2. **Firing resolution is a table lookup.**  Every ``plane.tick`` in the
    model is unconditional, so a faulted run's cycle schedule equals the
    golden one up to the instant its transient fires.  Whether a fault
@@ -80,7 +81,7 @@ _NO_REG = 0xFF
 
 @dataclass
 class PreparedWorkload:
-    """Golden trace + initial numpy state of one workload."""
+    """Golden trace of one workload x module + initial numpy state."""
 
     bench: Microbenchmark
     golden: GoldenRun
@@ -88,6 +89,11 @@ class PreparedWorkload:
     init_regs: np.ndarray   # [n_threads, n_registers] uint32
     init_mem: np.ndarray    # [memory_words] uint32
     init_smem: np.ndarray   # [shared_memory_words] uint32
+
+    @property
+    def module(self) -> str:
+        """The module whose latch schedule the trace holds."""
+        return self.recorder.module
 
 
 class _Universe:
@@ -112,9 +118,15 @@ class VectorizedRTLInjector:
         self._scratch = StreamingMultiprocessor(self.injector.sm.config)
 
     # -- golden capture ----------------------------------------------------
-    def prepare(self, bench: Microbenchmark) -> PreparedWorkload:
-        """Run *bench* fault-free once, recording the replayable trace."""
-        recorder = GoldenTraceRecorder()
+    def prepare(self, bench: Microbenchmark,
+                module: str) -> PreparedWorkload:
+        """Run *bench* fault-free once, recording the replayable trace.
+
+        Only *module*'s latch schedule is recorded, so the workload can
+        resolve faults in *module* alone (:meth:`inject_batch` rejects
+        any other).
+        """
+        recorder = GoldenTraceRecorder(module)
         result = self.injector.sm.launch(
             bench.program,
             bench.n_threads,
@@ -160,7 +172,16 @@ class VectorizedRTLInjector:
         windowed multi-hit (burst) models corrupt arbitrarily many
         latches, so they are routed to the scalar interpreter
         explicitly — same classifications, no replay speedup.
+
+        Every fault must target the module *prepared* was recorded for:
+        any other module's latches are not in the trace, so its faults
+        would silently resolve as never fired.
         """
+        for fault in faults:
+            if fault.flipflop.module != prepared.module:
+                raise ValueError(
+                    f"fault on {fault.flipflop.key} outside the prepared "
+                    f"module {prepared.module!r}")
         out: List[Optional[RunClassification]] = [None] * len(faults)
         recorder = prepared.recorder
         replayable: List[_Universe] = []

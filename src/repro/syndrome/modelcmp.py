@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
 from ..errors import ReproError
 from .powerlaw import PowerLawFit, fit_power_law
@@ -46,6 +45,17 @@ class LikelihoodRatio:
         return self.p_value < threshold
 
 
+def _norm_sf(x: float) -> float:
+    """Standard normal survival function.
+
+    scipy is imported here, not at module level: it costs more than the
+    rest of ``import repro`` together.
+    """
+    from scipy import stats
+
+    return float(stats.norm.sf(x))
+
+
 def _tail(samples: Sequence[float], fit: PowerLawFit) -> np.ndarray:
     data = np.asarray(
         [s for s in samples if s > 0 and math.isfinite(s)], dtype=float)
@@ -70,7 +80,7 @@ def _vuong(ll_power: np.ndarray, ll_alt: np.ndarray,
     if sigma == 0.0:
         return LikelihoodRatio(alternative, ratio, 0.0, 1.0)
     normalized = ratio / (sigma * math.sqrt(n))
-    p_value = float(2 * _sps.norm.sf(abs(normalized)))
+    p_value = 2 * _norm_sf(abs(normalized))
     return LikelihoodRatio(alternative, ratio, normalized, p_value)
 
 
@@ -83,7 +93,7 @@ def compare_to_lognormal(samples: Sequence[float],
     sigma = float(logs.std(ddof=0)) or 1e-12
     # lognormal truncated at x_min: density normalised over [x_min, inf)
     z_min = (math.log(fit.x_min) - mu) / sigma
-    tail_mass = float(_sps.norm.sf(z_min)) or 1e-300
+    tail_mass = _norm_sf(z_min) or 1e-300
     ll_lognormal = (
         -np.log(tail) - math.log(sigma) - 0.5 * math.log(2 * math.pi)
         - ((logs - mu) ** 2) / (2 * sigma ** 2) - math.log(tail_mass))

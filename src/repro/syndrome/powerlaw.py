@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ReproError
 
@@ -158,5 +157,7 @@ def is_gaussian(samples: Sequence[float], p_threshold: float = 0.05) -> bool:
     # Shapiro-Wilk is exact for n <= 5000; subsample deterministically above
     if len(data) > 5000:
         data = data[:: len(data) // 5000 + 1]
+    from scipy import stats  # lazy: scipy dominates ``import repro``
+
     _, p_value = stats.shapiro(data)
     return bool(p_value >= p_threshold)

@@ -186,6 +186,23 @@ class TestTelemetryArtifacts:
         for stage in combined["stages"][2:]:
             assert stage["units_cached"] == stage["units_done"]
 
+    def test_stage_walls_fit_inside_the_pipeline_wall(self, tmp_path):
+        # each stage's collector is built before earlier stages run; its
+        # wall-clock must still cover only its own stage, so the stages
+        # cannot add up to more than the whole pipeline took
+        import time
+
+        started = time.perf_counter()
+        run_pipeline(tmp_path, seed=7, opcodes=[Opcode.FADD, Opcode.IADD],
+                     input_ranges=("S", "M"), grid_faults=8, tmxm_faults=2,
+                     apps=["MxM"], models=["bitflip"], injections=20,
+                     quiet=True)
+        pipeline_wall = time.perf_counter() - started
+        combined = json.loads((tmp_path / "metrics.json").read_text())
+        walls = [stage["wall_seconds"] for stage in combined["stages"]]
+        assert len(walls) == 3
+        assert sum(walls) <= pipeline_wall
+
     def test_stats_renders_workdir(self, finished):
         from repro.campaign import discover_metrics, render_stats
 

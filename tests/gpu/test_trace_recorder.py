@@ -2,8 +2,9 @@
 
 Covers the :class:`~repro.gpu.trace.GoldenTraceRecorder` contract the
 vectorized fault engine replays against (dispatch schedule, per-beat
-operands/results, branch votes, latch-schedule bisection), the
-recorder/fault mutual-exclusion guards, and the passive fast path: a
+operands/results, branch votes, latch-schedule bisection, scoping to
+one module), the recorder/fault mutual-exclusion guards, and the
+passive fast path: a
 golden run (no fault, no recorder) must never dispatch a single
 ``plane.latch`` call — including through the SFU controller, whose
 unconditional latching used to dominate golden wall-clock time.
@@ -37,7 +38,7 @@ def _fadd_image(values_a, values_b):
 class TestDispatchSchedule:
     def test_steps_mirror_executed_instructions(self):
         sm = StreamingMultiprocessor()
-        rec = GoldenTraceRecorder()
+        rec = GoldenTraceRecorder("fp32")
         sm.launch(_fadd_program(), 2,
                   memory_image=_fadd_image([1.5, -2.0], [0.25, 8.0]),
                   recorder=rec)
@@ -51,7 +52,7 @@ class TestDispatchSchedule:
 
     def test_beat_records_carry_golden_operands_and_results(self):
         sm = StreamingMultiprocessor()
-        rec = GoldenTraceRecorder()
+        rec = GoldenTraceRecorder("fp32")
         sm.launch(_fadd_program(), 2,
                   memory_image=_fadd_image([1.5, -2.0], [0.25, 8.0]),
                   recorder=rec)
@@ -75,7 +76,7 @@ class TestDispatchSchedule:
         b.gst(0, 1, offset=0x300)
         b.exit()
         sm = StreamingMultiprocessor()
-        rec = GoldenTraceRecorder()
+        rec = GoldenTraceRecorder("fp32")
         sm.launch(b.build(), 2, recorder=rec)
         branches = [s.branch for s in rec.steps if s.branch is not None]
         # counter hits 1, 2 (taken) then 3 (fall through), both threads
@@ -90,7 +91,7 @@ class TestDispatchSchedule:
 class TestLatchSchedule:
     def _recorded(self):
         sm = StreamingMultiprocessor()
-        rec = GoldenTraceRecorder()
+        rec = GoldenTraceRecorder("fp32")
         sm.launch(_fadd_program(), 2,
                   memory_image=_fadd_image([1.5, -2.0], [0.25, 8.0]),
                   recorder=rec)
@@ -133,11 +134,11 @@ class TestGuards:
         with pytest.raises(ValueError, match="fault-free"):
             sm.launch(_fadd_program(), 1,
                       memory_image=_fadd_image([1.0], [1.0]),
-                      fault=fault, recorder=GoldenTraceRecorder())
+                      fault=fault, recorder=GoldenTraceRecorder("fp32"))
 
     def test_arm_while_recording_is_rejected(self):
         sm = StreamingMultiprocessor()
-        sm.plane.attach_recorder(GoldenTraceRecorder())
+        sm.plane.attach_recorder(GoldenTraceRecorder("fp32"))
         ff = sm.plane.flipflops("fp32")[0]
         with pytest.raises(RuntimeError, match="recorder"):
             sm.plane.arm(TransientFault(ff, bit=0, cycle=1))
@@ -148,7 +149,7 @@ class TestGuards:
         ff = sm.plane.flipflops("fp32")[0]
         sm.plane.arm(TransientFault(ff, bit=0, cycle=1))
         with pytest.raises(RuntimeError, match="armed"):
-            sm.plane.attach_recorder(GoldenTraceRecorder())
+            sm.plane.attach_recorder(GoldenTraceRecorder("fp32"))
         sm.plane.disarm()
 
 
@@ -181,7 +182,7 @@ class TestPassiveHotPath:
 
     def test_recorder_reenables_latch_dispatch(self):
         sm = StreamingMultiprocessor()
-        rec = GoldenTraceRecorder()
+        rec = GoldenTraceRecorder("sfu")
         b = ProgramBuilder("sfu")
         b.gld(2, 0, offset=0x100)
         b.fsin(3, 2)
@@ -192,3 +193,80 @@ class TestPassiveHotPath:
         sfu_keys = [ff.key for ff in sm.plane.flipflops("sfu")
                     if rec.first_latch_at_or_after(ff.key, 0) is not None]
         assert sfu_keys, "recording must capture SFU stage latches again"
+
+
+class TestModuleScope:
+    """A recorder logs one module's latch schedule — exactly the entries
+    a record-everything capture would hold for that module."""
+
+    #: every functional unit on an opcode it executes, and both control
+    #: modules on every opcode
+    CASES = [(Opcode.FADD, "fp32"), (Opcode.IMAD, "int"),
+             (Opcode.FSIN, "sfu")] + [
+        (opcode, module)
+        for opcode in (Opcode.FADD, Opcode.IMAD, Opcode.FSIN, Opcode.GLD)
+        for module in ("scheduler", "pipeline")]
+
+    @staticmethod
+    def _launch(sm, bench, recorder):
+        sm.launch(bench.program, bench.n_threads,
+                  memory_image=bench.memory_image,
+                  initial_registers=bench.initial_registers,
+                  recorder=recorder)
+
+    def _full_schedule(self, bench, module, monkeypatch):
+        """Every latch of every module, as (cycle, step, beat) per key,
+        with every module pending (bubbles and shadow banks clocked) —
+        the capture a recorder made before it was scoped to a module."""
+        sm = StreamingMultiprocessor()
+        plane = sm.plane
+        rec = GoldenTraceRecorder(module)  # dispatch/beat bookkeeping
+        events = {}
+
+        def latch(mod, name, value, lane=-1):
+            events.setdefault((mod, name, lane), []).append(
+                (plane.cycle, len(rec.steps) - 1, rec._beat))
+            return value
+
+        def latch_bank(mod, keys, key_set):
+            for key in keys:
+                latch(key[0], key[1], 0, key[2])
+
+        monkeypatch.setattr(plane, "latch", latch)
+        monkeypatch.setattr(plane, "latch_bank", latch_bank)
+        monkeypatch.setattr(plane, "pending_for", lambda mod: True)
+        self._launch(sm, bench, rec)
+        return {key: value for key, value in events.items()
+                if key[0] == module}
+
+    @pytest.mark.parametrize("opcode,module", CASES,
+                             ids=[f"{op.value}-{m}" for op, m in CASES])
+    def test_scoped_schedule_is_the_full_one_filtered(self, opcode, module,
+                                                      monkeypatch):
+        from repro.rtl.microbench import make_microbenchmark
+
+        bench = make_microbenchmark(opcode, "M", seed=3)
+        sm = StreamingMultiprocessor()
+        rec = GoldenTraceRecorder(module)
+        self._launch(sm, bench, rec)
+        scoped = {key: [(cycle, *site) for cycle, site
+                        in zip(cycles, rec._event_sites[key])]
+                  for key, cycles in rec._event_cycles.items()}
+        assert scoped, f"{opcode.value} must latch {module} registers"
+        assert scoped == self._full_schedule(bench, module, monkeypatch)
+
+    def test_other_modules_are_not_pending_or_logged(self):
+        sm = StreamingMultiprocessor()
+        rec = GoldenTraceRecorder("fp32")
+        sm.plane.attach_recorder(rec)
+        assert sm.plane.pending_for("fp32")
+        assert not sm.plane.pending_for("pipeline")
+        assert sm.plane.latch("int", "stage.a", 7, 0) == 7
+        assert sm.plane.latch("fp32", "stage.a", 9, 0) == 9
+        sm.plane.detach_recorder()
+        assert list(rec._event_cycles) == [("fp32", "stage.a", 0)]
+
+    def test_foreign_key_lookup_raises(self):
+        _, rec = TestLatchSchedule()._recorded()
+        with pytest.raises(ValueError, match="recorded module"):
+            rec.first_latch_at_or_after(("int", "stage.a", 0), 0)

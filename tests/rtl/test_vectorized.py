@@ -51,7 +51,7 @@ class TestPerFaultEquivalence:
         injector = RTLInjector()
         vec = VectorizedRTLInjector(injector)
         bench = make_microbenchmark(opcode, "M", seed=5)
-        prepared = vec.prepare(bench)
+        prepared = vec.prepare(bench, module)
         faults = generate_fault_list(
             injector.plane, module, 40, prepared.golden.cycles, seed=9)
         batch = vec.inject_batch(prepared, faults)
@@ -70,7 +70,7 @@ class TestPerFaultEquivalence:
         injector = RTLInjector()
         vec = VectorizedRTLInjector(injector)
         bench = make_microbenchmark(Opcode.FADD, "M", seed=5)
-        prepared = vec.prepare(bench)
+        prepared = vec.prepare(bench, "fp32")
         ff = injector.plane.flipflops("fp32")[0]
         fault = TransientFault(ff, bit=0,
                                cycle=prepared.golden.cycles + 100, window=4)
@@ -142,7 +142,7 @@ class TestCampaignEquivalence:
                                                         monkeypatch):
         # burst and stuck-at faults always run scalar, so their cells
         # must not pay for a trace-recording run nothing reads
-        def no_prepare(self, bench):
+        def no_prepare(self, bench, module):
             raise AssertionError("non-transient cell recorded a trace")
 
         monkeypatch.setattr(VectorizedRTLInjector, "prepare", no_prepare)
@@ -160,7 +160,7 @@ class TestCampaignEquivalence:
         injector = RTLInjector()
         vec = VectorizedRTLInjector(injector)
         bench = make_microbenchmark(Opcode.FADD, "M", seed=8)
-        prepared = vec.prepare(bench)
+        prepared = vec.prepare(bench, "fp32")
         ffs = injector.plane.flipflops("fp32")
         faults = [StuckAtFault(ffs[i % len(ffs)], bit=0,
                                stuck_at=i % 2) for i in range(6)]
@@ -168,6 +168,49 @@ class TestCampaignEquivalence:
         for fault, vectorized in zip(faults, batch):
             scalar = injector.inject(bench, prepared.golden, fault)
             _same_classification(scalar, vectorized)
+
+
+class TestModuleScopedTrace:
+    def test_foreign_module_fault_is_rejected(self):
+        # the trace holds only the prepared module's latches: a fault
+        # elsewhere would silently resolve as never fired (Masked)
+        injector = RTLInjector()
+        vec = VectorizedRTLInjector(injector)
+        bench = make_microbenchmark(Opcode.FADD, "M", seed=5)
+        prepared = vec.prepare(bench, "fp32")
+        assert prepared.module == "fp32"
+        ff = injector.plane.flipflops("pipeline")[0]
+        with pytest.raises(ValueError, match="prepared module 'fp32'"):
+            vec.inject_batch(prepared, [TransientFault(ff, bit=0, cycle=5)])
+
+    @pytest.mark.parametrize("fault_model", ["burst", "stuck-at"])
+    @pytest.mark.parametrize("opcode", [Opcode.GLD, Opcode.FADD],
+                             ids=lambda op: op.value)
+    def test_bank_latch_matches_the_per_key_loop(self, fault_model, opcode,
+                                                 monkeypatch):
+        # a bubble cycle latches ~200 pipeline registers; the bank call
+        # must leave every armed burst/stuck-at exactly as latching each
+        # register in turn does
+        from repro.gpu.pipeline import PipelineRegisters
+
+        bench = make_microbenchmark(opcode, "M", seed=5)
+        kwargs = dict(module="pipeline", n_faults=60, seed=2,
+                      fault_model=fault_model, vectorize=False)
+        banked = run_campaign(bench, **kwargs)
+
+        def per_key_bubble(self):
+            if not self.plane.pending_for(self.module):
+                return
+            for slot in range(self.warp_size):
+                for name, _, _ in self._SLOT_REGISTERS:
+                    self.plane.latch(self.module, name, 0, slot)
+            for prefix in [""] + self._shadow_prefixes:
+                for name, _, _ in self._CTRL_REGISTERS:
+                    self.plane.latch(self.module, prefix + name, 0, -1)
+
+        monkeypatch.setattr(PipelineRegisters, "latch_bubble",
+                            per_key_bubble)
+        assert run_campaign(bench, **kwargs).to_dict() == banked.to_dict()
 
 
 class TestNormShiftPropagation:
@@ -178,7 +221,7 @@ class TestNormShiftPropagation:
     def test_norm_shift_fault_corrupts_fadd_result(self):
         injector = RTLInjector()
         sm = injector.sm
-        rec = GoldenTraceRecorder()
+        rec = GoldenTraceRecorder("fp32")
         from repro.gpu.program import ProgramBuilder
         b = ProgramBuilder("normshift")
         b.gld(2, 0, offset=0x100)
@@ -210,7 +253,7 @@ class TestNormShiftPropagation:
         injector = RTLInjector()
         vec = VectorizedRTLInjector(injector)
         bench = make_microbenchmark(Opcode.FADD, "M", seed=5)
-        prepared = vec.prepare(bench)
+        prepared = vec.prepare(bench, "fp32")
         ffs = [f for f in injector.plane.flipflops("fp32")
                if f.name == "norm.shift"]
         assert ffs

@@ -116,3 +116,26 @@ class TestDivergenceSemantics:
         # the majority fell through and stored 222
         assert words[:3] == [0, 0, 0]
         assert words[3:] == [222] * 5
+
+
+class TestImportCost:
+    def test_import_repro_loads_no_scipy(self):
+        # scipy.stats costs more than the rest of ``import repro``
+        # together; only the few functions that need it may import it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, repro; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
