@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-swfi bench-rtl bench-artifacts \
-	bench-adaptive bench-faultmodels db examples clean
+	bench-adaptive bench-faultmodels bench-trajectory db examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -33,6 +33,10 @@ bench-adaptive:
 bench-faultmodels:
 	$(PYTHON) -m pytest benchmarks/bench_fault_models.py \
 		--benchmark-only -q
+
+# perfbench on all four workloads, appended to BENCH_trajectory.jsonl
+bench-trajectory:
+	$(PYTHON) benchmarks/trajectory.py
 
 db:
 	$(PYTHON) -m repro build-db

@@ -62,6 +62,16 @@ class FaultDecayedError(ReproError):
     """
 
 
+class FaultReconvergedError(FaultDecayedError):
+    """The spent fault's run re-converged onto a golden checkpoint.
+
+    Raised by the SM when, after the armed model can corrupt no further
+    latch, its whole cross-step state equals the golden run's at the same
+    cycle: the rest of the run is golden-identical.  Campaign controllers
+    classify it as Masked with the fault's own ``fault_fired``.
+    """
+
+
 class CampaignError(ReproError):
     """A fault-injection campaign was misconfigured."""
 

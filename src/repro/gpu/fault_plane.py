@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, Type
+from weakref import WeakSet
 
 __all__ = [
     "FlipFlop",
@@ -149,6 +150,8 @@ class FaultModel:
     model = ""  # overridden per concrete class; the serde registry key
 
     flipflop: FlipFlop
+    #: injection (or activation) cycle: no latch before it is corrupted
+    cycle: int
     fired_cycle: Optional[int]
     expired: bool
 
@@ -453,13 +456,43 @@ class FaultPlane:
         self._armed_deadline: Optional[int] = None
         self._expired_fault: Optional[FaultModel] = None
         self._recorder = None
-        #: Fast-path flag consulted by every module's ``_latch`` wrapper:
-        #: while True nothing (no armed fault, no recorder) can observe
-        #: a latch, so modules skip the :meth:`latch` dispatch entirely.
-        #: A plain attribute, not a property — the guard runs once per
-        #: stage-register write in the model, and a bound-property call is
-        #: measurably slower than an attribute load on that path.
-        self.passive = True
+        #: The one module whose latches something observes (the armed
+        #: fault's until it is spent, or the recorded one), else None.
+        self._live: Optional[str] = None
+        #: module name -> the objects :meth:`bind` gave a passive flag
+        #: (weakly held: they hold the plane, and a cycle would keep a
+        #: dropped SM's memories alive until the next garbage collection)
+        self._bound: Dict[str, WeakSet] = {}
+
+    # -- per-module fast path ----------------------------------------------
+    def bind(self, owner) -> None:
+        """Give *owner* a ``passive`` flag that follows its ``module``.
+
+        Every module's ``_latch`` wrapper tests ``self.passive`` — one
+        attribute load per stage-register write — and skips the
+        :meth:`latch` dispatch while it is True.  The plane clears the
+        flag only on the owners of the *live* module: the one an armed,
+        unspent fault targets, or the one a recorder logs.  Latches of
+        every other module cannot be observed (:meth:`latch` would
+        return their value unchanged), so they never reach the plane.
+        """
+        self._bound.setdefault(owner.module, WeakSet()).add(owner)
+        owner.passive = owner.module != self._live
+
+    def _set_live(self, module: Optional[str]) -> None:
+        if module == self._live:
+            return
+        for owner in self._bound.get(self._live, ()):
+            owner.passive = True
+        self._live = module
+        for owner in self._bound.get(module, ()):
+            owner.passive = False
+
+    @property
+    def passive(self) -> bool:
+        """True while no module's latches are observed: no recorder is
+        attached and no armed fault can corrupt a future latch."""
+        return self._live is None
 
     # -- inventory --------------------------------------------------------
     def declare(self, flipflop: FlipFlop) -> FlipFlop:
@@ -511,7 +544,7 @@ class FaultPlane:
                 # fired at least once and can fire no more (e.g. a burst
                 # whose window closed): retire to the passive fast path
                 armed.close()
-            self.passive = self._recorder is None
+            self._set_live(None)
 
     def reset_time(self) -> None:
         self.cycle = 0
@@ -533,7 +566,7 @@ class FaultPlane:
             self._armed_deadline = None  # SRAM semantics: no decay
         else:
             self._armed_deadline = fault.decay_deadline
-        self.passive = False
+        self._set_live(fault.flipflop.module)
 
     def disarm(self) -> Optional[FaultModel]:
         fault = self._armed or self._expired_fault
@@ -541,17 +574,18 @@ class FaultPlane:
         self._armed_key = None
         self._armed_deadline = None
         self._expired_fault = None
-        self.passive = self._recorder is None
+        self._set_live(None if self._recorder is None
+                       else self._recorder.module)
         return fault
 
     # -- golden-trace recording -------------------------------------------
     def attach_recorder(self, recorder) -> None:
         """Route the latches of ``recorder.module`` through *recorder*.
 
-        While a recorder is attached the plane is no longer passive:
-        modules dispatch every stage-register write through :meth:`latch`,
-        which logs the writes of the recorded module and returns every
-        value unchanged, and :meth:`pending_for` reports True for the
+        While a recorder is attached the recorded module is live: it
+        dispatches every stage-register write through :meth:`latch`,
+        which logs the write and returns the value unchanged, and
+        :meth:`pending_for` reports True for the
         recorded module so its conditionally-skipped latches (pipeline
         bubbles, shadow banks) are captured too.  The recorded latch
         schedule is therefore a superset of what any single faulted run
@@ -566,12 +600,12 @@ class FaultPlane:
         if self._recorder is not None:
             raise RuntimeError("a recorder is already attached")
         self._recorder = recorder
-        self.passive = False
+        self._set_live(recorder.module)
 
     def detach_recorder(self):
         recorder = self._recorder
         self._recorder = None
-        self.passive = self._armed is None
+        self._set_live(None)
         return recorder
 
     @property
@@ -645,11 +679,11 @@ class FaultPlane:
             self._armed = None
             self._armed_deadline = None
             self._expired_fault = armed
-            self.passive = self._recorder is None
+            self._set_live(None)
         elif armed.spent:
             # nothing downstream can observe another latch, so the plane
             # drops back to the passive fast path
-            self.passive = self._recorder is None
+            self._set_live(None)
         return out
 
     def latch_bank(self, module: str, keys: Tuple[Tuple[str, str, int], ...],

@@ -116,6 +116,7 @@ class FloatUnit:
         self.plane = plane
         self.n_lanes = n_lanes
         self.module = module
+        plane.bind(self)
         self.fmt = fmt
         self._REGISTERS = _registers_for(fmt)
         for lane in range(n_lanes):
@@ -152,7 +153,7 @@ class FloatUnit:
     # -- latch helper ------------------------------------------------------
     def _latch(self, name: str, value: int, lane: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:  # hot path: nothing to intercept
+        if self.passive:  # hot path: nothing to intercept
             return value & mask
         return self.plane.latch(self.module, name, value & mask, lane) & mask
 

@@ -41,13 +41,14 @@ class IntUnit:
         self.plane = plane
         self.n_lanes = n_lanes
         self.module = module
+        plane.bind(self)
         for lane in range(n_lanes):
             for name, width, kind in self._REGISTERS:
                 plane.declare(FlipFlop(module, name, width, lane, kind))
 
     def _latch(self, name: str, value: int, lane: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:  # hot path: nothing to intercept
+        if self.passive:  # hot path: nothing to intercept
             return value & mask
         return self.plane.latch(self.module, name, value & mask, lane) & mask
 

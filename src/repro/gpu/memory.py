@@ -7,16 +7,54 @@ single/double bit-flip.  Accordingly these structures are **not** declared
 on the fault plane — they are plain, reliable storage — but they do detect
 illegal accesses, which is one of the ways corrupted control state becomes
 a DUE.
+
+Both structures are part of the SM's cross-step state (see
+:meth:`~repro.gpu.sm.StreamingMultiprocessor.snapshot`), stored as
+**deltas from the launch image**: every write remembers the launch value
+of its cell the first time it lands after :meth:`seal_image`, so
+:meth:`delta` lists just the cells written since the launch and
+:meth:`restore` puts one back.  A kernel writes a few hundred of the
+64Ki memory words, so a delta costs a fraction of a full copy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from struct import pack
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import MemoryFaultError, RegisterFaultError
 from .bits import MASK32, bits_to_float, float_to_bits
 
-__all__ = ["GlobalMemory", "RegisterFile"]
+__all__ = ["GlobalMemory", "RegisterFile", "Delta"]
+
+#: ``(cells, values)``: the indices of the cells written since the
+#: launch, in first-write order, and their current values — two byte
+#: strings of native 32-bit words, four bytes a cell (``struct`` is
+#: loaded anyway; ``array`` would map one more extension module).
+#: Equal deltas mean equal contents.  Equal contents reached through
+#: another write order (or with a cell written back to its launch value)
+#: give unequal deltas; a fault run compared with golden then just
+#: simulates on.
+Delta = Tuple[bytes, bytes]
+
+
+def _delta(values: list, origin: Dict[int, int]) -> Delta:
+    """The cells of *values* that *origin* records as written."""
+    words = f"{len(origin)}I"
+    return (pack(words, *origin),
+            pack(words, *map(values.__getitem__, origin)))
+
+
+def _restore(values: list, origin: Dict[int, int], delta: Delta) -> None:
+    """Reset *values* to the launch image, then apply *delta*."""
+    for i, first in origin.items():
+        values[i] = first
+    origin.clear()
+    cells, written = delta
+    for i, value in zip(memoryview(cells).cast("I"),
+                        memoryview(written).cast("I")):
+        origin[i] = values[i]
+        values[i] = value
 
 
 class GlobalMemory:
@@ -27,6 +65,9 @@ class GlobalMemory:
             raise ValueError("memory size must be positive")
         self.n_words = n_words
         self._words: List[int] = [0] * n_words
+        #: address -> launch-image value of each word stored since
+        #: :meth:`seal_image`
+        self._origin: Dict[int, int] = {}
 
     def load(self, address: int) -> int:
         self._check(address)
@@ -34,7 +75,21 @@ class GlobalMemory:
 
     def store(self, address: int, value: int) -> None:
         self._check(address)
+        if address not in self._origin:
+            self._origin[address] = self._words[address]
         self._words[address] = value & MASK32
+
+    def seal_image(self) -> None:
+        """Take the current contents as the launch image."""
+        self._origin.clear()
+
+    def delta(self) -> Delta:
+        """Every word stored since the launch image, with its value."""
+        return _delta(self._words, self._origin)
+
+    def restore(self, delta: Delta) -> None:
+        """Set the contents to the launch image plus *delta*."""
+        _restore(self._words, self._origin, delta)
 
     def load_float(self, address: int) -> float:
         return bits_to_float(self.load(address))
@@ -91,12 +146,14 @@ class RegisterFile:
                  plane=None, ecc: bool = True) -> None:
         self.n_threads = n_threads
         self.n_registers = n_registers
-        self._regs: List[List[int]] = [
-            [0] * n_registers for _ in range(n_threads)
-        ]
-        self._preds: List[List[bool]] = [
-            [False] * self.N_PREDICATES for _ in range(n_threads)
-        ]
+        #: ``thread * n_registers + index`` -> value, and likewise
+        #: ``thread * N_PREDICATES + index`` for the predicates, each
+        #: with the launch value of every cell written since
+        #: :meth:`seal_image`
+        self._regs: List[int] = [0] * (n_threads * n_registers)
+        self._reg_origin: Dict[int, int] = {}
+        self._preds: List[int] = [0] * (n_threads * self.N_PREDICATES)
+        self._pred_origin: Dict[int, int] = {}
         self._plane = None
         if plane is not None and not ecc:
             from .fault_plane import FlipFlop
@@ -111,7 +168,7 @@ class RegisterFile:
         self._check(thread, index)
         if self._plane is not None:
             self._resolve_fault(thread, index, erase=False)
-        return self._regs[thread][index]
+        return self._regs[thread * self.n_registers + index]
 
     def write(self, thread: int, index: int, value: int) -> None:
         self._check(thread, index)
@@ -119,7 +176,27 @@ class RegisterFile:
             # a pending flip on this cell is overwritten before any read
             # could consume it: it fired, but left no trace (masked)
             self._resolve_fault(thread, index, erase=True)
-        self._regs[thread][index] = value & MASK32
+        self._set(thread * self.n_registers + index, value & MASK32)
+
+    def _set(self, cell: int, value: int) -> None:
+        if cell not in self._reg_origin:
+            self._reg_origin[cell] = self._regs[cell]
+        self._regs[cell] = value
+
+    def seal_image(self) -> None:
+        """Take the current contents as the launch image."""
+        self._reg_origin.clear()
+        self._pred_origin.clear()
+
+    def delta(self) -> Tuple[Delta, Delta]:
+        """Register and predicate cells written since the launch image."""
+        return (_delta(self._regs, self._reg_origin),
+                _delta(self._preds, self._pred_origin))
+
+    def restore(self, delta: Tuple[Delta, Delta]) -> None:
+        """Set the contents to the launch image plus *delta*."""
+        _restore(self._regs, self._reg_origin, delta[0])
+        _restore(self._preds, self._pred_origin, delta[1])
 
     def _resolve_fault(self, thread: int, index: int, erase: bool) -> None:
         """SRAM semantics: flip the stored cell at the injection instant.
@@ -139,15 +216,19 @@ class RegisterFile:
             return
         armed.fired_cycle = self._plane.cycle
         if not erase:
-            self._regs[thread][index] ^= armed.mask
+            cell = thread * self.n_registers + index
+            self._set(cell, self._regs[cell] ^ armed.mask)
 
     def read_predicate(self, thread: int, index: int) -> bool:
         self._check_pred(thread, index)
-        return self._preds[thread][index]
+        return self._preds[thread * self.N_PREDICATES + index] == 1
 
     def write_predicate(self, thread: int, index: int, value: bool) -> None:
         self._check_pred(thread, index)
-        self._preds[thread][index] = bool(value)
+        cell = thread * self.N_PREDICATES + index
+        if cell not in self._pred_origin:
+            self._pred_origin[cell] = self._preds[cell]
+        self._preds[cell] = 1 if value else 0
 
     def _check(self, thread: int, index: int) -> None:
         if not 0 <= thread < self.n_threads:

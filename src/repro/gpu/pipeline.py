@@ -114,6 +114,7 @@ class PipelineRegisters:
         self.n_lanes = n_lanes
         self.warp_size = warp_size
         self.module = module
+        plane.bind(self)
         for slot in range(warp_size):
             for name, width, kind in self._SLOT_REGISTERS:
                 plane.declare(FlipFlop(module, name, width, slot, kind))
@@ -140,14 +141,14 @@ class PipelineRegisters:
 
     def _latch(self, name: str, value: int, lane: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:
+        if self.passive:
             return value & mask
         return self.plane.latch(
             self.module, name, value & mask, lane) & mask
 
     def _latch_ctrl(self, name: str, value: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:
+        if self.passive:
             return value & mask
         latched = self.plane.latch(self.module, name, value & mask, -1) & mask
         if self.plane.pending_for(self.module):
@@ -305,6 +306,6 @@ class PipelineRegisters:
         the whole bank latches through one :meth:`FaultPlane.latch_bank`
         call.
         """
-        if self.plane.pending_for(self.module):
+        if not self.passive and self.plane.pending_for(self.module):
             self.plane.latch_bank(self.module, self._bubble_keys,
                                   self._bubble_key_set)

@@ -80,6 +80,7 @@ class WarpScheduler:
             raise ValueError("need at least one warp")
         self.plane = plane
         self.module = module
+        plane.bind(self)
         self.n_warps = n_warps
         self.warp_size = warp_size
         self._contexts: List[WarpContext] = []
@@ -93,7 +94,7 @@ class WarpScheduler:
 
     def _latch(self, name: str, value: int, lane: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:  # hot path
+        if self.passive:  # hot path
             return value & mask
         return self.plane.latch(self.module, name, value & mask, lane) & mask
 
@@ -189,6 +190,22 @@ class WarpScheduler:
             if ctx.state == WarpState.BARRIER:
                 ctx.state = self._latch("warp.state", WarpState.READY,
                                         ctx.warp_id, 2)
+
+    # -- cross-step state -----------------------------------------------------------
+    def snapshot(self) -> tuple:
+        """``(warps, rr_pointer, dispatches)``: every warp's
+        ``(pc, active_mask, state, thread_base)``, then the controller
+        registers that carry from one dispatch to the next."""
+        return (tuple((ctx.pc, ctx.active_mask, ctx.state, ctx.thread_base)
+                      for ctx in self._contexts),
+                self._rr_pointer, self._dispatches)
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot` (no latch is clocked)."""
+        warps, self._rr_pointer, self._dispatches = state
+        self._contexts = [WarpContext(warp_id, pc, mask, fsm, thread_base)
+                          for warp_id, (pc, mask, fsm, thread_base)
+                          in enumerate(warps)]
 
     # -- queries ------------------------------------------------------------------
     @property

@@ -101,12 +101,13 @@ class SfuDatapath:
         self.plane = plane
         self.unit = unit
         self.module = module
+        plane.bind(self)
         for name, width, kind in self._REGISTERS:
             plane.declare(FlipFlop(module, name, width, unit, kind))
 
     def _latch(self, name: str, value: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:  # hot path
+        if self.passive:  # hot path
             return value & mask
         return self.plane.latch(self.module, name, value & mask, self.unit) & mask
 
@@ -204,13 +205,14 @@ class SfuController:
                  module: str = ModuleName.SFU_CONTROLLER) -> None:
         self.plane = plane
         self.module = module
+        plane.bind(self)
         self.units = [SfuDatapath(plane, unit) for unit in range(n_units)]
         for name, width, kind in self._REGISTERS:
             plane.declare(FlipFlop(module, name, width, -1, kind))
 
     def _latch(self, name: str, value: int, width: int) -> int:
         mask = (1 << width) - 1
-        if self.plane.passive:  # hot path: nothing to intercept
+        if self.passive:  # hot path: nothing to intercept
             return value & mask
         return self.plane.latch(self.module, name, value & mask, -1) & mask
 

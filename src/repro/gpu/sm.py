@@ -12,15 +12,20 @@ The SM raises :class:`~repro.errors.GpuHardwareError` subclasses for every
 condition a real GPU would surface as a detected unrecoverable error:
 watchdog expiry, illegal PCs and opcodes, out-of-range register indices and
 out-of-bounds memory accesses.  The RTL campaign classifies those as DUEs.
+
+Between two dispatch steps the SM's whole state is a declared inventory
+(:class:`SMState`), so a golden run can keep checkpoints
+(:class:`GoldenCheckpoints`) that a faulted run forks from and stops at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     FaultDecayedError,
+    FaultReconvergedError,
     GpuHangError,
     InvalidProgramCounterError,
     RegisterFaultError,
@@ -28,7 +33,7 @@ from ..errors import (
 from .bits import MASK32, bits_to_float, bits_to_int, float_to_bits
 from .fault_plane import FaultModel, FaultPlane
 from .isa import CompareOp, Instruction, Opcode, OperandKind
-from .memory import GlobalMemory, RegisterFile
+from .memory import Delta, GlobalMemory, RegisterFile
 from .pipeline import DecodedControl, PipelineRegisters
 from .program import Program
 from .scheduler import WarpContext, WarpScheduler, WarpState
@@ -38,7 +43,7 @@ from .sfu import SfuController
 from .trace import GoldenTraceRecorder
 
 __all__ = ["SMConfig", "KernelResult", "StreamingMultiprocessor",
-           "TraceEntry"]
+           "TraceEntry", "SMState", "GoldenCheckpoints"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,86 @@ class KernelResult:
     trace: Optional[List[TraceEntry]] = None
 
 
+@dataclass(frozen=True)
+class SMState:
+    """The SM's cross-step state at the top of one dispatch step.
+
+    The declared inventory: everything a dispatch step can read that an
+    earlier step wrote — the plane cycle, the scheduler's warp contexts,
+    round-robin pointer and dispatch counter, the register file and
+    predicates, and global and shared memory (the last three as deltas
+    from the launch image).  The pipeline and functional-unit latches are
+    not in it: every step latches them afresh before it reads them, so
+    they hold nothing from one step to the next.  Two runs of one launch
+    whose states are equal execute identically from there on.
+    """
+
+    cycle: int
+    scheduler: tuple
+    registers: Tuple[Delta, Delta]
+    memory: Delta
+    shared: Delta
+
+
+class GoldenCheckpoints:
+    """About ``LIMIT`` evenly spaced step states of one golden run.
+
+    A fault-free :meth:`StreamingMultiprocessor.launch` fills it without
+    knowing the run's length: it keeps the state of every ``stride``-th
+    dispatch step, and whenever more than ``LIMIT`` are kept it drops
+    every other one and doubles the stride, so a run of any length ends
+    with at most ``LIMIT`` evenly spaced checkpoints, and at least
+    ``LIMIT / 2`` once it is longer than ``LIMIT`` steps.
+    Step 0 is never kept: it is the ordinary launch, whose
+    ``scheduler.reset`` latches a fault at cycle 0 can still land on.
+
+    A faulted launch given the filled checkpoints restores
+    :meth:`fork_point` of its fault's cycle and, once its fault is spent,
+    stops at the first checkpoint its state equals (:meth:`at`).
+    """
+
+    LIMIT = 16
+
+    def __init__(self) -> None:
+        self._stride = 1
+        self._kept: List[Tuple[int, SMState]] = []
+        self._by_cycle: Dict[int, SMState] = {}
+
+    def offer(self, step: int, sm: "StreamingMultiprocessor") -> None:
+        """Keep *sm*'s state at dispatch *step* if the spacing asks."""
+        if step == 0 or step % self._stride:
+            return
+        state = sm.snapshot()
+        self._kept.append((step, state))
+        self._by_cycle[state.cycle] = state
+        if len(self._kept) > self.LIMIT:
+            self._stride *= 2
+            self._kept = [(kept_step, kept) for kept_step, kept in self._kept
+                          if kept_step % self._stride == 0]
+            self._by_cycle = {kept.cycle: kept for _, kept in self._kept}
+
+    def fork_point(self, cycle: int) -> Optional[SMState]:
+        """The last checkpoint at or before *cycle* (None: run from the
+        launch).  No latch before it happens at or after *cycle*, so a
+        fault injected at *cycle* cannot have landed yet."""
+        point = None
+        for _, state in self._kept:
+            if state.cycle > cycle:
+                break
+            point = state
+        return point
+
+    def at(self, cycle: int) -> Optional[SMState]:
+        """The checkpoint taken at *cycle*, if any."""
+        return self._by_cycle.get(cycle)
+
+    def __iter__(self):
+        return (state for _, state in self._kept)
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+
 class StreamingMultiprocessor:
     """Executable RTL-style model of one GPU streaming multiprocessor."""
 
@@ -129,6 +214,7 @@ class StreamingMultiprocessor:
         max_cycles: int = 100_000,
         trace: bool = False,
         recorder: Optional[GoldenTraceRecorder] = None,
+        checkpoints: Optional[GoldenCheckpoints] = None,
     ) -> KernelResult:
         """Run *program* over *n_threads* threads and return the result.
 
@@ -143,6 +229,15 @@ class StreamingMultiprocessor:
         ``recorder`` attaches a :class:`GoldenTraceRecorder` for the
         duration of the (necessarily fault-free) run, capturing the latch
         and dispatch schedule the vectorized fault engine replays.
+
+        ``checkpoints`` ties the run to one golden run's
+        :class:`GoldenCheckpoints`.  A fault-free run fills an empty
+        one.  A faulted run forks: it starts from the last
+        checkpoint at or before ``fault.cycle`` instead of from the
+        launch, and once the fault is spent it raises
+        :class:`~repro.errors.FaultReconvergedError` at the first
+        checkpoint whose state its own equals.  Everything else about
+        the run, including its final ``cycles``, is as without them.
         """
         cfg = self.config
         if n_threads <= 0 or n_threads > cfg.max_warps * cfg.warp_size:
@@ -165,6 +260,8 @@ class StreamingMultiprocessor:
             for reg, values in initial_registers.items():
                 for tid in range(min(n_threads, len(values))):
                     self._registers.write(tid, reg, values[tid])
+        self._registers.seal_image()
+        self._memory.seal_image()
 
         self.plane.reset_time()
         self._trace: Optional[List[TraceEntry]] = [] if trace else None
@@ -177,7 +274,7 @@ class StreamingMultiprocessor:
         if fault is not None:
             self.plane.arm(fault)
         try:
-            cycles = self._run(max_cycles)
+            cycles = self._run(max_cycles, checkpoints)
             if recorder is not None:
                 recorder.finish(cycles)
         finally:
@@ -203,8 +300,24 @@ class StreamingMultiprocessor:
                 f"unknown float precision {precision!r}; expected one of "
                 f"{sorted(self.float_units)}") from None
 
+    # -- cross-step state --------------------------------------------------------------
+    def snapshot(self) -> SMState:
+        """The SM's cross-step state (valid at the top of a step)."""
+        return SMState(self.plane.cycle, self.scheduler.snapshot(),
+                       self._registers.delta(), self._memory.delta(),
+                       self._shared.delta())
+
+    def restore(self, state: SMState) -> None:
+        """Put back a :meth:`snapshot` of a run of the current launch."""
+        self.plane.cycle = state.cycle
+        self.scheduler.restore(state.scheduler)
+        self._registers.restore(state.registers)
+        self._memory.restore(state.memory)
+        self._shared.restore(state.shared)
+
     # -- main loop -------------------------------------------------------------------
-    def _run(self, max_cycles: int) -> int:
+    def _run(self, max_cycles: int,
+             checkpoints: Optional[GoldenCheckpoints] = None) -> int:
         cfg = self.config
         program = self._program
         n_warps = (self._n_threads + cfg.warp_size - 1) // cfg.warp_size
@@ -220,8 +333,27 @@ class StreamingMultiprocessor:
             if live < cfg.warp_size:
                 scheduler.set_mask(ctx, (1 << live) - 1)
 
-        steps = 0
+        plane = self.plane
+        record = fork = None
+        if checkpoints is not None:
+            if plane.armed_fault is None:
+                record = checkpoints
+            else:
+                fork = checkpoints
+                start = fork.fork_point(plane.armed_fault.cycle)
+                if start is not None:
+                    self.restore(start)
+        step = 0
         while not scheduler.all_exited():
+            if record is not None:
+                record.offer(step, self)
+            elif fork is not None and plane.passive:
+                golden = fork.at(plane.cycle)
+                if golden is not None and self.snapshot() == golden:
+                    raise FaultReconvergedError(
+                        f"spent fault re-converged at cycle {plane.cycle}; "
+                        "run is golden-identical")
+            step += 1
             ctx = scheduler.select()
             if ctx is None:
                 if scheduler.barrier_complete() and any(
@@ -252,7 +384,6 @@ class StreamingMultiprocessor:
                     inst.predicate is not None)
             self._execute(ctx, program[ctx.pc])
             self.plane.tick()
-            steps += 1
             if self.plane.fault_decayed:
                 raise FaultDecayedError(
                     "transient decayed unconsumed; run is golden-identical")

@@ -213,6 +213,9 @@ class _RTLWorkerState:
     A worker executes many fault batches, often of the same cell; the
     golden (fault-free) pass — which also fixes the fault list's cycle
     domain — runs once per workload per worker, not once per batch.
+    :meth:`drop` evicts a workload once no later unit of the plan reads
+    it (see :func:`_last_uses`), so a grid holds one cell's trace and
+    checkpoints at a time instead of every cell's.
     """
 
     def __init__(self, injector: Optional[RTLInjector] = None,
@@ -223,11 +226,14 @@ class _RTLWorkerState:
         self._prepared: Dict[Tuple, Any] = {}
         self._signature_lists: Dict[Tuple, List[FaultModel]] = {}
 
-    def bench_and_golden(self, spec: _BenchSpec):
+    def bench_and_golden(self, spec: _BenchSpec, fault_model: str):
+        """One workload and its golden run, run once per worker; the
+        golden keeps checkpoints unless *fault_model* is stuck-at."""
         key = spec.cache_key
         if key not in self._golden:
             bench = spec.build()
-            self._golden[key] = (bench, self.injector.run_golden(bench))
+            self._golden[key] = (bench, self.injector.run_golden(
+                bench, checkpoints=fault_model != "stuck-at"))
         return self._golden[key]
 
     def vectorized(self):
@@ -254,6 +260,12 @@ class _RTLWorkerState:
             self._prepared[key, module] = workload
             self._golden.setdefault(key, (bench, workload.golden))
         return self._prepared[key, module]
+
+    def drop(self, keys: Sequence[Tuple]) -> None:
+        """Forget the golden runs and traces cached under *keys*."""
+        for key in keys:
+            self._golden.pop(key, None)
+            self._prepared.pop(key, None)
 
     def signature_fault(self, spec: _SignatureSpec) -> FaultModel:
         """One fault of the campaign's deterministic permanent-fault list.
@@ -301,10 +313,47 @@ def _vectorized_unit(spec: _CellSpec, vectorize,
     return spec.module not in FaultPlane.PERSISTENT_STATE_MODULES
 
 
+def _last_uses(units: Sequence[WorkUnit]) -> Dict[int, Tuple[Tuple, ...]]:
+    """``{unit index: cache keys no later unit of the plan reads}``.
+
+    A unit reads its workload's golden run (cached under the bench key)
+    and, for a cell, its trace (under ``(bench key, module)``); after the
+    last unit that reads a key, its worker may drop it.  Exact for any
+    order that runs a key's last unit after the others — a serial plan,
+    and every adaptive round, since a cell's units run as a prefix of
+    its plan.  A pool worker that never runs that last unit keeps the
+    entry until the pool closes.
+    """
+    last: Dict[Tuple, int] = {}
+    for unit in units:
+        spec = unit.spec
+        key = spec.bench.cache_key
+        last[key] = unit.index
+        if isinstance(spec, _CellSpec):
+            last[key, spec.module] = unit.index
+    drops: Dict[int, List[Tuple]] = {}
+    for key, index in last.items():
+        drops.setdefault(index, []).append(key)
+    return {index: tuple(keys) for index, keys in drops.items()}
+
+
 def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
                   timeout: Optional[float] = None,
-                  vectorize="auto") -> CampaignReport:
-    """Engine unit runner: one fault batch against one campaign cell."""
+                  vectorize="auto",
+                  drops: Optional[Dict[int, Tuple[Tuple, ...]]] = None
+                  ) -> CampaignReport:
+    """Engine unit runner: one fault batch against one campaign cell.
+
+    *drops* is the plan's :func:`_last_uses`.
+    """
+    report = _run_cell_batch(state, unit, timeout, vectorize)
+    if drops:
+        state.drop(drops.get(unit.index, ()))
+    return report
+
+
+def _run_cell_batch(state: _RTLWorkerState, unit: WorkUnit,
+                    timeout: Optional[float], vectorize) -> CampaignReport:
     spec: _CellSpec = unit.spec
     if _vectorized_unit(spec, vectorize, timeout):
         workload = state.prepared(spec.bench, spec.module)
@@ -330,7 +379,7 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
                 value_kind=bench.value_kind,
             )
         return report
-    bench, golden = state.bench_and_golden(spec.bench)
+    bench, golden = state.bench_and_golden(spec.bench, spec.fault_model)
     faults = generate_model_fault_list(
         state.injector.plane, spec.module, unit.size, golden.cycles,
         seed=unit.seed, fault_model=spec.fault_model,
@@ -364,11 +413,15 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
 
 
 def _run_signature_unit(state: _RTLWorkerState, unit: WorkUnit,
-                        timeout: Optional[float] = None
+                        timeout: Optional[float] = None,
+                        drops: Optional[Dict[int, Tuple[Tuple, ...]]] = None
                         ) -> SignatureReport:
-    """Engine unit runner: one (fault, application) signature exercise."""
+    """Engine unit runner: one (fault, application) signature exercise.
+
+    *drops* is the plan's :func:`_last_uses`.
+    """
     spec: _SignatureSpec = unit.spec
-    bench, golden = state.bench_and_golden(spec.bench)
+    bench, golden = state.bench_and_golden(spec.bench, spec.fault_model)
     fault = state.signature_fault(spec)
     try:
         with wall_clock_limit(timeout):
@@ -389,6 +442,8 @@ def _run_signature_unit(state: _RTLWorkerState, unit: WorkUnit,
     )
     report.add(SignatureRecord.from_classification(
         spec.fault_index, spec.app, fault_to_dict(fault), classification))
+    if drops:
+        state.drop(drops.get(unit.index, ()))
     return report
 
 
@@ -441,10 +496,11 @@ def _cells_plan(cells: Sequence[Tuple[_CellSpec, str, int]],
                                  base_index, label)
         plan_cells.append(PlanCell(label, tuple(units),
                                    partial(_empty_cell_report, spec)))
+    drops = _last_uses([unit for cell in plan_cells for unit in cell.units])
     return CampaignPlan(
         cells=tuple(plan_cells),
         run_unit=partial(_run_rtl_unit, timeout=timeout,
-                         vectorize=vectorize),
+                         vectorize=vectorize, drops=drops),
         state_factory=partial(_rtl_state, config),
         header=header, kind="rtl-report", stage=header["campaign"])
 
@@ -705,7 +761,8 @@ def plan_signature(
                     n_faults=n_faults, apps=app_list, seed=seed)
     return CampaignPlan(
         cells=(PlanCell(f"{module}/{fault_model}", tuple(units), empty),),
-        run_unit=partial(_run_signature_unit, timeout=timeout),
+        run_unit=partial(_run_signature_unit, timeout=timeout,
+                         drops=_last_uses(units)),
         state_factory=partial(_rtl_state, config),
         header={
             "campaign": "rtl-signature",

@@ -5,16 +5,29 @@ workload fault-free to capture the golden outputs and the run length, then
 re-run it once per fault-list entry with the transient armed on the fault
 plane, classifying every outcome as Masked, SDC (single/multiple thread)
 or DUE.
+
+A fault run simulates only the cycles where it can differ from golden:
+the golden pass keeps evenly spaced state checkpoints
+(:class:`~repro.gpu.sm.GoldenCheckpoints`), a fault run forks from the
+last one before its fault's cycle, and it stops as Masked at the first
+later one its state equals once the fault is spent.  A
+:class:`GoldenRun` without checkpoints re-simulates the whole kernel, with
+the same classification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 from ..errors import FaultDecayedError, GpuHardwareError
 from ..gpu.fault_plane import FaultModel
-from ..gpu.sm import KernelResult, SMConfig, StreamingMultiprocessor
+from ..gpu.sm import (
+    GoldenCheckpoints,
+    KernelResult,
+    SMConfig,
+    StreamingMultiprocessor,
+)
 from .classify import Outcome, RunClassification, classify_run
 from .microbench import Microbenchmark
 from .reports import FaultDescriptor
@@ -28,10 +41,16 @@ _WATCHDOG_FACTOR = 10
 
 @dataclass(frozen=True)
 class GoldenRun:
-    """Fault-free reference execution of one workload."""
+    """Fault-free reference execution of one workload.
+
+    ``checkpoints`` lets fault runs fork and stop early; None makes them
+    re-simulate the whole kernel (the same classifications, slower).
+    """
 
     cycles: int
     regions: "tuple[tuple[int, ...], ...]"
+    checkpoints: Optional[GoldenCheckpoints] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def total_words(self) -> int:
@@ -50,20 +69,35 @@ class RTLInjector:
         return self.sm.plane
 
     # -- golden execution --------------------------------------------------------
-    def run_golden(self, bench: Microbenchmark) -> GoldenRun:
-        """Execute *bench* fault-free and snapshot its output regions."""
+    def run_golden(self, bench: Microbenchmark,
+                   checkpoints: bool = True) -> GoldenRun:
+        """Execute *bench* fault-free, keeping its output regions and
+        step checkpoints.
+
+        ``checkpoints=False`` keeps none, for faults that no checkpoint
+        helps: a stuck-at fault is active from cycle 0 and never spent,
+        so its run neither forks nor stops.
+        """
+        kept = GoldenCheckpoints() if checkpoints else None
         result = self.sm.launch(
             bench.program,
             bench.n_threads,
             memory_image=bench.memory_image,
             initial_registers=bench.initial_registers,
+            checkpoints=kept,
         )
-        return GoldenRun(result.cycles, self._snapshot(result, bench))
+        return GoldenRun(result.cycles, self._snapshot(result, bench), kept)
 
     # -- fault execution -----------------------------------------------------------
     def inject(self, bench: Microbenchmark, golden: GoldenRun,
                fault: FaultModel) -> RunClassification:
-        """Run *bench* with one armed fault model and classify the outcome."""
+        """Run *bench* with one armed fault model and classify the outcome.
+
+        With *golden*'s checkpoints the run forks and stops early (see
+        the module docstring); a decayed or re-converged run is
+        golden-identical, so it is Masked with the fault's own
+        ``fault_fired`` — what comparing golden with golden gives.
+        """
         fault.reset()  # allow fault-list reuse across runs
         max_cycles = max(_WATCHDOG_FACTOR * golden.cycles, 2_000)
         try:
@@ -74,9 +108,10 @@ class RTLInjector:
                 initial_registers=bench.initial_registers,
                 fault=fault,
                 max_cycles=max_cycles,
+                checkpoints=golden.checkpoints,
             )
         except FaultDecayedError:
-            return RunClassification(Outcome.MASKED, fault_fired=False)
+            return RunClassification(Outcome.MASKED, fault_fired=fault.fired)
         except GpuHardwareError as exc:
             return RunClassification(
                 Outcome.DUE,

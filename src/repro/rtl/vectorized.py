@@ -50,7 +50,7 @@ import numpy as np
 from ..campaign.engine import UnitTimeout, wall_clock_limit
 from ..gpu.fault_plane import FaultModel, FaultPlane, TransientFault
 from ..gpu.isa import Opcode
-from ..gpu.sm import StreamingMultiprocessor
+from ..gpu.sm import GoldenCheckpoints, StreamingMultiprocessor
 from ..gpu.trace import GoldenTraceRecorder
 from ..gpu.vector import vector_compute
 from .classify import Outcome, RunClassification, classify_run
@@ -124,18 +124,23 @@ class VectorizedRTLInjector:
 
         Only *module*'s latch schedule is recorded, so the workload can
         resolve faults in *module* alone (:meth:`inject_batch` rejects
-        any other).
+        any other).  Golden checkpoints are kept only for modules whose
+        fired faults run scalar; a replayed module's rare ejected fault
+        re-simulates the whole kernel instead.
         """
         recorder = GoldenTraceRecorder(module)
+        checkpoints = (None if module in REPLAY_MODULES
+                       else GoldenCheckpoints())
         result = self.injector.sm.launch(
             bench.program,
             bench.n_threads,
             memory_image=bench.memory_image,
             initial_registers=bench.initial_registers,
             recorder=recorder,
+            checkpoints=checkpoints,
         )
         golden = GoldenRun(result.cycles,
-                           RTLInjector._snapshot(result, bench))
+                           RTLInjector._snapshot(result, bench), checkpoints)
         cfg = self.injector.sm.config
         init_regs = np.zeros((bench.n_threads, cfg.n_registers),
                              dtype=np.uint32)

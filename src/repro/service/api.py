@@ -65,6 +65,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+from urllib.parse import parse_qs
 
 from ..errors import CampaignError, ServiceError
 from .scheduler import (
@@ -533,8 +534,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self) -> None:
         path, _, query = self.path.partition("?")
         parts = [p for p in path.split("/") if p]
-        params = dict(
-            pair.partition("=")[::2] for pair in query.split("&") if pair)
+        params = {name: values[-1]
+                  for name, values in parse_qs(query).items()}
         try:
             self._dispatch(parts, params)
         except ApiError as exc:

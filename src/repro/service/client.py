@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -78,7 +79,8 @@ class ServiceClient:
         return self._json("POST", "/jobs", body)
 
     def jobs(self, state: Optional[str] = None) -> List[dict]:
-        query = f"?state={state}" if state else ""
+        query = "?" + urllib.parse.urlencode({"state": state}) if state \
+            else ""
         return self._json("GET", f"/jobs{query}")
 
     def job(self, job_id: Union[int, str]) -> dict:

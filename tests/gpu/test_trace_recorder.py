@@ -180,6 +180,50 @@ class TestPassiveHotPath:
         assert result.cycles > 0
         assert sm.plane.passive
 
+    @staticmethod
+    def _mixed_program():
+        b = ProgramBuilder("mix")
+        b.gld(2, 0, offset=0x100)
+        b.fsin(3, 2)
+        b.fadd(6, 3, 2)
+        b.iadd(8, 0, 0)
+        b.gst(0, 6, offset=0x300)
+        b.exit()
+        return b.build()
+
+    def _latching_modules(self, monkeypatch, sm, **launch):
+        modules = []
+        latch = sm.plane.latch
+
+        def spy(module, name, value, lane=-1):
+            modules.append(module)
+            return latch(module, name, value, lane)
+
+        monkeypatch.setattr(sm.plane, "latch", spy)
+        sm.launch(self._mixed_program(), 32,
+                  memory_image={0x100: [float_to_bits(0.5)] * 32},
+                  **launch)
+        return modules
+
+    def test_only_the_armed_module_reaches_latch(self, monkeypatch):
+        """The per-module fast path: while a pipeline fault is armed
+        (here for the whole run: it is injected after the kernel ends),
+        no other module's latch reaches the plane."""
+        sm = StreamingMultiprocessor()
+        ff = next(ff for ff in sm.plane.flipflops("pipeline")
+                  if ff.name == "de.opcode")
+        fault = TransientFault(ff, bit=0, cycle=100_000)
+        modules = self._latching_modules(monkeypatch, sm, fault=fault)
+        assert modules and set(modules) == {"pipeline"}
+        assert not fault.fired
+
+    def test_only_the_recorded_module_reaches_latch(self, monkeypatch):
+        sm = StreamingMultiprocessor()
+        modules = self._latching_modules(
+            monkeypatch, sm, recorder=GoldenTraceRecorder("scheduler"))
+        assert modules and set(modules) == {"scheduler"}
+        assert sm.plane.passive
+
     def test_recorder_reenables_latch_dispatch(self):
         sm = StreamingMultiprocessor()
         rec = GoldenTraceRecorder("sfu")

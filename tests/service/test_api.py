@@ -125,6 +125,16 @@ class TestHttpApi:
         with pytest.raises(ServiceError, match="no such endpoint"):
             client._json("GET", "/nope")
 
+    def test_job_listing_decodes_the_query_string(self, daemon, client):
+        job = client.submit("pvf", app="MxM", injections=10)
+        client.wait(job["id"], timeout=120)
+        # "d%6Fne" is "done" with its "o" percent-encoded
+        listed = client._json("GET", "/jobs?state=d%6Fne")
+        assert job["id"] in [j["id"] for j in listed]
+        assert {j["state"] for j in listed} == {"done"}
+        with pytest.raises(ServiceError, match="400"):
+            client._json("GET", "/jobs?state=no%20such")
+
     def test_cancel_done_job_is_a_409(self, daemon, client):
         job = client.submit("pvf", app="MxM", injections=10)
         client.wait(job["id"], timeout=120)
